@@ -4,11 +4,13 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <utility>
 
 #include "common/logging.h"
@@ -19,14 +21,12 @@ namespace samya::rt {
 
 namespace {
 
-/// Loop poll ceiling: bounds how stale a loop's clock and control queue can
-/// get while the node is idle. 1ms keeps a handful of idle loops under a
-/// few thousand wakeups/s total, far below measurement noise.
-constexpr int kMaxPollMs = 1;
-
 /// UDP payload ceiling on loopback; a frame above this is a bug upstream
 /// (the largest protocol message is a full batch, well under 64 KiB).
 constexpr size_t kMaxDatagram = 64 * 1024;
+
+/// A loop's next deadline when it has no timer and no held datagram.
+constexpr SimTime kNoDeadline = std::numeric_limits<SimTime>::max();
 
 sockaddr_in LoopbackAddr(uint16_t port) {
   sockaddr_in addr{};
@@ -112,29 +112,38 @@ void RealCluster::Start() {
     const int buf = 4 * 1024 * 1024;
     ::setsockopt(loop->fd, SOL_SOCKET, SO_RCVBUF, &buf, sizeof(buf));
     ::setsockopt(loop->fd, SOL_SOCKET, SO_SNDBUF, &buf, sizeof(buf));
+    loop->wake_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+    SAMYA_CHECK_MSG(loop->wake_fd >= 0, "eventfd() failed");
   }
   epoch_ = std::chrono::steady_clock::now();
-  for (auto& loop : loops_) {
-    Loop* l = loop.get();
-    l->thread = std::thread([this, l] { LoopMain(l); });
-  }
+  // Queue each node's Start() before its loop exists: the first tick runs
+  // it, and no Post has to wake a sleeping thread.
   for (size_t i = 0; i < loops_.size(); ++i) {
     Node* n = loops_[i]->node;
     Post(static_cast<NodeId>(i), [n] { n->Start(); });
+  }
+  for (auto& loop : loops_) {
+    Loop* l = loop.get();
+    l->thread = std::thread([this, l] { LoopMain(l); });
   }
 }
 
 void RealCluster::Shutdown() {
   if (!started_ || shut_down_) return;
   shut_down_ = true;
-  for (auto& loop : loops_) loop->stop.store(true, std::memory_order_release);
+  for (auto& loop : loops_) {
+    loop->stop.store(true, std::memory_order_release);
+    Wake(loop.get());
+  }
   for (auto& loop : loops_) {
     if (loop->thread.joinable()) loop->thread.join();
   }
   for (auto& loop : loops_) {
-    if (loop->fd >= 0) {
-      ::close(loop->fd);
-      loop->fd = -1;
+    for (int* fd : {&loop->fd, &loop->wake_fd}) {
+      if (*fd >= 0) {
+        ::close(*fd);
+        *fd = -1;
+      }
     }
   }
 }
@@ -150,10 +159,21 @@ void RealCluster::RunFor(Duration d) {
 }
 
 void RealCluster::Post(NodeId id, std::function<void()> fn) {
+  // After Shutdown the eventfd Wake writes to is closed.
+  SAMYA_CHECK_MSG(started_ && !shut_down_, "Post needs running loops");
   Loop* loop = loops_[static_cast<size_t>(id)].get();
-  std::lock_guard<std::mutex> lk(loop->ctl_mu);
-  loop->ctl.push_back(std::move(fn));
-  ++loop->ctl_posted;
+  {
+    std::lock_guard<std::mutex> lk(loop->ctl_mu);
+    loop->ctl.push_back(std::move(fn));
+    ++loop->ctl_posted;
+  }
+  Wake(loop);
+}
+
+void RealCluster::Wake(Loop* loop) {
+  // Only a saturated counter fails (EAGAIN), and then the loop is awake.
+  const uint64_t one = 1;
+  (void)!::write(loop->wake_fd, &one, sizeof(one));
 }
 
 void RealCluster::Crash(NodeId id) {
@@ -177,18 +197,9 @@ void RealCluster::Recover(NodeId id) {
 void RealCluster::Barrier() {
   SAMYA_CHECK_MSG(started_ && !shut_down_, "Barrier needs running loops");
   for (auto& loop : loops_) {
-    uint64_t target = 0;
-    {
-      std::lock_guard<std::mutex> lk(loop->ctl_mu);
-      target = loop->ctl_posted;
-    }
-    for (;;) {
-      {
-        std::lock_guard<std::mutex> lk(loop->ctl_mu);
-        if (loop->ctl_executed >= target) break;
-      }
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
+    std::unique_lock<std::mutex> lk(loop->ctl_mu);
+    const uint64_t target = loop->ctl_posted;
+    loop->ctl_done.wait(lk, [&] { return loop->ctl_executed >= target; });
   }
 }
 
@@ -268,15 +279,29 @@ uint64_t RealCluster::ArmTimer(Node* n, Duration delay, uint64_t token) {
 void RealCluster::LoopMain(Loop* loop) {
   while (!loop->stop.load(std::memory_order_acquire)) {
     LoopTick(loop);
-    // Sleep until the next deadline this loop owns, capped so the clock
-    // and control queue stay fresh.
-    SimTime next = loop->now_us + Millis(kMaxPollMs);
-    if (!loop->timers.empty()) next = std::min(next, loop->timers.top().due);
+    // Sleep until the next deadline this loop owns, or indefinitely when it
+    // owns none; a datagram or a Wake (Post, Shutdown) ends the sleep early.
+    SimTime next = kNoDeadline;
+    if (!loop->timers.empty()) next = loop->timers.top().due;
     if (!loop->outbox.empty()) next = std::min(next, loop->outbox.top().due);
-    const SimTime wait_us = std::max<SimTime>(0, next - NowUs());
-    pollfd pfd{loop->fd, POLLIN, 0};
-    ::poll(&pfd, 1, static_cast<int>(std::min<SimTime>(
-                        kMaxPollMs, (wait_us + 999) / 1000)));
+    timespec timeout{};
+    const bool has_deadline = next != kNoDeadline;
+    if (has_deadline) {
+      // Deadlines are whole µs since epoch_: once this wait has elapsed,
+      // NowUs() >= next and the deadline is due on the next tick.
+      const auto wait = std::max<std::chrono::nanoseconds>(
+          std::chrono::nanoseconds::zero(),
+          epoch_ + std::chrono::microseconds(next) -
+              std::chrono::steady_clock::now());
+      timeout.tv_sec = static_cast<time_t>(wait.count() / 1000000000);
+      timeout.tv_nsec = static_cast<long>(wait.count() % 1000000000);
+    }
+    pollfd pfds[2] = {{loop->fd, POLLIN, 0}, {loop->wake_fd, POLLIN, 0}};
+    ::ppoll(pfds, 2, has_deadline ? &timeout : nullptr, nullptr);
+    if ((pfds[1].revents & POLLIN) != 0) {
+      uint64_t wakes = 0;
+      (void)!::read(loop->wake_fd, &wakes, sizeof(wakes));
+    }
   }
 }
 
@@ -298,6 +323,7 @@ void RealCluster::LoopTick(Loop* loop) {
       std::lock_guard<std::mutex> lk(loop->ctl_mu);
       ++loop->ctl_executed;
     }
+    loop->ctl_done.notify_all();
   }
 
   // Due timers, in deadline order, each through the shared epoch guard.

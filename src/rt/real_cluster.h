@@ -2,6 +2,7 @@
 #define SAMYA_RT_REAL_CLUSTER_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -69,6 +70,12 @@ struct RealNetStats {
 /// noise on top of the injected model. Protocol code already tolerates all
 /// of this (§3.1's asynchronous network).
 ///
+/// Wakeups: each loop sleeps in `ppoll` on its socket and a per-loop
+/// eventfd, until exactly its next timer or netem-release deadline, or
+/// indefinitely when it has none; it never polls while idle. Post (and so
+/// Crash/Recover) and Shutdown wake it through the eventfd. Deadlines are
+/// met to within the kernel's timer slack (~50 µs by default).
+///
 /// Lifecycle: AddNode* -> Start() -> (RunFor / Post / Crash / Recover)* ->
 /// Shutdown(). `stats()` and per-node metrics snapshots are exact only
 /// after Shutdown (loop-local counters are unsynchronized while running).
@@ -112,6 +119,7 @@ class RealCluster : public Runtime {
 
   /// Runs `fn` on node `id`'s loop thread, serialized with its handlers.
   /// The only sanctioned way to touch node state from outside its loop.
+  /// Valid only between Start() and Shutdown(), like Barrier().
   void Post(NodeId id, std::function<void()> fn);
 
   /// Crash/recover with the simulator's exact semantics: timers are
@@ -178,9 +186,12 @@ class RealCluster : public Runtime {
                         std::greater<DelayedSend>>
         outbox;
     std::mutex ctl_mu;
+    std::condition_variable ctl_done;  ///< notified after each ++ctl_executed
     std::deque<std::function<void()>> ctl;
     uint64_t ctl_executed = 0;  // under ctl_mu
     uint64_t ctl_posted = 0;    // under ctl_mu
+    /// eventfd other threads write to end the loop's ppoll (see Wake).
+    int wake_fd = -1;
     RealNetStats stats;
     std::vector<uint8_t> encode_scratch;
     std::thread thread;
@@ -188,6 +199,9 @@ class RealCluster : public Runtime {
   };
 
   void RegisterNode(std::unique_ptr<Node> node, Region region);
+  /// Ends `loop`'s current or next ppoll. Any thread may call it while the
+  /// loops run; every foreign write to a loop's state is followed by one.
+  void Wake(Loop* loop);
   void LoopMain(Loop* loop);
   /// One loop iteration body, split out for testability: runs control
   /// closures, fires due timers, flushes the due outbox, drains the socket.
