@@ -18,7 +18,6 @@ namespace samya {
 ///   10-19   token client API (this file)
 ///   100-119 multi-Paxos
 ///   120-139 Raft
-///   140-149 single-decree Paxos
 ///   200-229 Avantan (both versions)
 ///   230-249 Samya site/app-manager internal
 ///   250-269 Demarcation/Escrow

@@ -4,6 +4,7 @@
 
 #include "common/logging.h"
 #include "common/macros.h"
+#include "harness/ddmin.h"
 
 namespace samya::harness {
 
@@ -160,70 +161,18 @@ ChaosCase MakeNemesisCase(SystemKind system, uint64_t seed, double intensity,
   return c;
 }
 
-namespace {
-
-bool HasViolationOfCheck(const ExperimentResult& r, const std::string& check) {
-  if (check.empty()) return !r.violations.empty();
-  for (const AuditViolation& v : r.violations) {
-    if (v.check == check) return true;
-  }
-  return false;
-}
-
-}  // namespace
-
 ChaosCase ShrinkCase(const ChaosCase& c, const AuditOptions& audit,
                      int max_runs, int* runs_used) {
-  int runs = 0;
-  const auto reproduces = [&](const std::vector<sim::FaultOp>& ops) {
-    ++runs;
-    ChaosCase candidate = c;
-    candidate.schedule.ops = ops;
-    return HasViolationOfCheck(RunChaosCase(candidate, audit),
-                               c.violation_check);
-  };
-
-  std::vector<sim::FaultOp> ops = c.schedule.ops;
-  // ddmin (Zeller & Hildebrandt): try removing ever-finer chunks, keeping a
-  // reduction whenever the violation survives.
-  size_t n = 2;
-  while (ops.size() >= 2 && runs < max_runs) {
-    const size_t chunk = (ops.size() + n - 1) / n;
-    bool reduced = false;
-    for (size_t i = 0; i < n && i * chunk < ops.size(); ++i) {
-      if (runs >= max_runs) break;
-      std::vector<sim::FaultOp> candidate;
-      candidate.reserve(ops.size() - chunk);
-      for (size_t j = 0; j < ops.size(); ++j) {
-        if (j / chunk != i) candidate.push_back(ops[j]);
-      }
-      if (candidate.size() == ops.size() || candidate.empty()) continue;
-      if (reproduces(candidate)) {
-        ops = std::move(candidate);
-        n = std::max<size_t>(n - 1, 2);
-        reduced = true;
-        break;
-      }
-    }
-    if (!reduced) {
-      if (n >= ops.size()) break;  // 1-minimal
-      n = std::min(n * 2, ops.size());
-    }
-  }
-  // Final singleton sweep: drop any op whose removal keeps the violation.
-  for (size_t i = 0; i < ops.size() && ops.size() > 1 && runs < max_runs;) {
-    std::vector<sim::FaultOp> candidate = ops;
-    candidate.erase(candidate.begin() + static_cast<ptrdiff_t>(i));
-    if (reproduces(candidate)) {
-      ops = std::move(candidate);
-    } else {
-      ++i;
-    }
-  }
-
-  if (runs_used != nullptr) *runs_used = runs;
   ChaosCase out = c;
-  out.schedule.ops = std::move(ops);
+  out.schedule.ops = Ddmin(
+      c.schedule.ops,
+      [&](const std::vector<sim::FaultOp>& ops) {
+        ChaosCase candidate = c;
+        candidate.schedule.ops = ops;
+        return FailsCheck(RunChaosCase(candidate, audit).violations,
+                          /*history_failure=*/"", c.violation_check);
+      },
+      max_runs, runs_used);
   return out;
 }
 

@@ -60,7 +60,7 @@ ExperimentOptions MakeChaosOptions(const ChaosCase& c, AuditOptions audit);
 ExperimentResult RunChaosCase(const ChaosCase& c, const AuditOptions& audit);
 
 /// Derives the standard nemesis schedule for (system, seed, intensity) —
-/// the exact generator `chaos_search` sweeps. The nemesis targets nodes
+/// the exact generator `samya_search chaos` sweeps. The nemesis targets nodes
 /// 0..num_sites-1, so the site count must be fixed before generation.
 /// `isolate` > 0 adds site-isolation waves: each wave cuts one site's whole
 /// *island* (the site plus its region's app manager and client, so load
@@ -70,15 +70,14 @@ ChaosCase MakeNemesisCase(SystemKind system, uint64_t seed, double intensity,
                           int num_sites = 5, double isolate = 0.0,
                           bool disconnected_mode = false);
 
-/// \brief ddmin delta-debugging of a violating fault schedule.
+/// \brief ddmin (harness/ddmin.h) of a violating fault schedule.
 ///
-/// Repeatedly re-runs the case with subsets of the schedule's ops, keeping a
-/// subset only if it still produces a violation of the same check category
-/// (`c.violation_check`, e.g. "conservation"). Deterministic: candidate
-/// order is fixed and every run is a fresh single-threaded simulation.
-/// `max_runs` bounds the search; `runs_used` (optional) reports the spend.
-/// Returns the case with the minimized schedule (1-minimal w.r.t. op
-/// removal when the budget sufficed).
+/// Re-runs the case with subsets of the schedule's ops, keeping a subset
+/// only if it still fails `c.violation_check` (e.g. "conservation"; any
+/// check when empty). Every run is a fresh single-threaded simulation, so
+/// the result is deterministic. `max_runs` bounds the search; `runs_used`
+/// (optional) reports the spend. Returns the case with the minimized
+/// schedule (1-minimal w.r.t. op removal when the budget sufficed).
 ChaosCase ShrinkCase(const ChaosCase& c, const AuditOptions& audit,
                      int max_runs = 300, int* runs_used = nullptr);
 

@@ -9,6 +9,7 @@
 #include "common/testonly_mutation.h"
 #include "core/site.h"
 #include "harness/chaos.h"
+#include "harness/ddmin.h"
 #include "harness/history.h"
 
 namespace samya::harness {
@@ -125,20 +126,6 @@ ExperimentOptions MakeExploreOptions(const ExploreCase& c) {
 
 void TrimTrailingZeros(std::vector<uint32_t>* v) {
   while (!v->empty() && v->back() == 0) v->pop_back();
-}
-
-/// Does `r` fail the named check ("" = any)? Mirrors chaos.cc's
-/// HasViolationOfCheck, extended with the history-checker verdicts.
-bool FailsCheck(const ExploreRunResult& r, const std::string& check) {
-  if (check.empty()) return r.violated();
-  for (const AuditViolation& v : r.violations) {
-    if (v.check == check) return true;
-  }
-  if (!r.check.ok &&
-      (check == "linearizability" || check == "bounded_safety")) {
-    return true;
-  }
-  return false;
 }
 
 }  // namespace
@@ -347,13 +334,13 @@ ExploreRunResult RunExploreCase(const ExploreCase& c,
   if (checkable) {
     out.check = CheckHistory(history.History(/*entity=*/0), copts);
   }
-  if (!out.violations.empty()) {
-    out.failed_check = out.violations.front().check;
-  } else if (checkable && !out.check.ok) {
-    out.failed_check = copts.mode == CheckOptions::Mode::kBoundedSafety
-                           ? "bounded_safety"
-                           : "linearizability";
+  if (checkable && !out.check.ok) {
+    out.history_failure = copts.mode == CheckOptions::Mode::kBoundedSafety
+                              ? "bounded_safety"
+                              : "linearizability";
   }
+  out.failed_check = out.violations.empty() ? out.history_failure
+                                            : out.violations.front().check;
   return out;
 }
 
@@ -422,61 +409,20 @@ DfsStats ExploreDfs(const ExploreCase& base, const DfsOptions& dopts) {
 
 ExploreCase ShrinkChoices(const ExploreCase& c, int max_runs,
                           int* runs_used) {
-  int runs = 0;
-  const auto reproduces = [&](const std::vector<uint32_t>& choices) {
-    ++runs;
-    ExploreCase candidate = c;
-    candidate.scheduler = SchedulerKind::kReplay;
-    candidate.choices = choices;
-    return FailsCheck(RunExploreCase(candidate), c.violation_check);
-  };
-
-  std::vector<uint32_t> choices = c.choices;
-  TrimTrailingZeros(&choices);
-  // ddmin (Zeller & Hildebrandt) over the choice trace, exactly as
-  // chaos.cc's ShrinkCase does over fault ops: removing a choice shifts the
-  // later decisions earlier, which ReplayOracle tolerates (clamping), so
-  // every candidate subset is a runnable schedule.
-  size_t n = 2;
-  while (choices.size() >= 2 && runs < max_runs) {
-    const size_t chunk = (choices.size() + n - 1) / n;
-    bool reduced = false;
-    for (size_t i = 0; i < n && i * chunk < choices.size(); ++i) {
-      if (runs >= max_runs) break;
-      std::vector<uint32_t> candidate;
-      candidate.reserve(choices.size() - chunk);
-      for (size_t j = 0; j < choices.size(); ++j) {
-        if (j / chunk != i) candidate.push_back(choices[j]);
-      }
-      if (candidate.size() == choices.size() || candidate.empty()) continue;
-      if (reproduces(candidate)) {
-        choices = std::move(candidate);
-        n = std::max<size_t>(n - 1, 2);
-        reduced = true;
-        break;
-      }
-    }
-    if (!reduced) {
-      if (n >= choices.size()) break;  // 1-minimal
-      n = std::min(n * 2, choices.size());
-    }
-  }
-  // Final singleton sweep.
-  for (size_t i = 0; i < choices.size() && choices.size() > 1 &&
-                     runs < max_runs;) {
-    std::vector<uint32_t> candidate = choices;
-    candidate.erase(candidate.begin() + static_cast<ptrdiff_t>(i));
-    if (reproduces(candidate)) {
-      choices = std::move(candidate);
-    } else {
-      ++i;
-    }
-  }
-
-  if (runs_used != nullptr) *runs_used = runs;
   ExploreCase out = c;
   out.scheduler = SchedulerKind::kReplay;
-  out.choices = std::move(choices);
+  TrimTrailingZeros(&out.choices);
+  // Removing a choice shifts the later decisions earlier, which
+  // ReplayOracle tolerates (clamping), so every candidate is runnable.
+  out.choices = Ddmin(
+      out.choices,
+      [&](const std::vector<uint32_t>& choices) {
+        ExploreCase candidate = out;
+        candidate.choices = choices;
+        const ExploreRunResult r = RunExploreCase(candidate);
+        return FailsCheck(r.violations, r.history_failure, c.violation_check);
+      },
+      max_runs, runs_used);
   return out;
 }
 

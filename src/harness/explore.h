@@ -79,9 +79,11 @@ struct ExploreRunResult {
   /// The run's observability bundle (always carries the flight recorder —
   /// MakeExploreOptions arms it); feeds the post-mortem dump on violation.
   std::shared_ptr<obs::Observability> obs;
-  /// First failed check: an auditor check name ("conservation", ...), or
-  /// "linearizability" / "bounded_safety" from the history checker. Empty
-  /// when the run was clean.
+  /// The history checker's failed verdict, "linearizability" or
+  /// "bounded_safety"; empty when the history passed or was not checked.
+  std::string history_failure;
+  /// First failed check: an auditor check name ("conservation", ...), else
+  /// `history_failure`. Empty when the run was clean.
   std::string failed_check;
 
   bool violated() const { return !failed_check.empty(); }
@@ -128,10 +130,11 @@ struct DfsStats {
 /// (3 sites, 1–2 Avantan rounds) exhaust within a few hundred runs.
 DfsStats ExploreDfs(const ExploreCase& base, const DfsOptions& dopts);
 
-/// ddmin minimization of a violating choice trace: repeatedly replays the
-/// case with subsets of `choices`, keeping a subset iff it still fails
-/// `c.violation_check` (any check when empty). Returns the case with the
-/// minimized trace; `runs_used` reports the spend against `max_runs`.
+/// ddmin (harness/ddmin.h) of a violating choice trace: replays the case
+/// with subsets of `choices`, keeping a subset iff it still fails
+/// `c.violation_check` (any check when empty). Returns the case pinned to
+/// kReplay with the minimized trace; `runs_used` reports the spend against
+/// `max_runs`.
 ExploreCase ShrinkChoices(const ExploreCase& c, int max_runs = 300,
                           int* runs_used = nullptr);
 

@@ -10,6 +10,15 @@
 
 namespace samya::harness {
 
+bool FailsCheck(const std::vector<AuditViolation>& violations,
+                const std::string& history_failure, const std::string& check) {
+  if (check.empty()) return !violations.empty() || !history_failure.empty();
+  for (const AuditViolation& v : violations) {
+    if (v.check == check) return true;
+  }
+  return history_failure == check;
+}
+
 InvariantAuditor::InvariantAuditor(Experiment* experiment, AuditOptions opts)
     : experiment_(experiment), opts_(opts) {}
 

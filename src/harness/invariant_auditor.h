@@ -63,6 +63,13 @@ struct AuditViolation {
   std::string detail;
 };
 
+/// Whether a run failed `check` ("" = any check): an auditor violation of
+/// that name, or the history checker's failed verdict `history_failure`
+/// ("linearizability" / "bounded_safety"; "" when the history passed or was
+/// not checked). The one predicate behind ddmin and corpus replay verdicts.
+bool FailsCheck(const std::vector<AuditViolation>& violations,
+                const std::string& history_failure, const std::string& check);
+
 /// \brief Continuous invariant auditor for Samya runs (§3.2 Eq. 1 and the
 /// Theorem 1/2 agreement properties), hooked into the run itself.
 ///

@@ -46,6 +46,14 @@ Result<obs::FlightEvent> FlightEventFromJson(const JsonValue& v) {
   return ev;
 }
 
+Result<JsonValue> ReadJsonFile(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) return Status::Unavailable("cannot open " + path);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  return JsonParse(buf.str());
+}
+
 }  // namespace
 
 JsonValue PostmortemBundle::ToJson() const {
@@ -150,12 +158,47 @@ Status WritePostmortem(const PostmortemBundle& b, const std::string& path) {
 }
 
 Result<PostmortemBundle> LoadPostmortem(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::Unavailable("cannot open " + path);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  SAMYA_ASSIGN_OR_RETURN(JsonValue doc, JsonParse(buf.str()));
+  SAMYA_ASSIGN_OR_RETURN(JsonValue doc, ReadJsonFile(path));
   return PostmortemBundle::FromJson(doc);
+}
+
+Result<CaseReplay> ReplayCaseFile(const std::string& path,
+                                  const std::string& source) {
+  SAMYA_ASSIGN_OR_RETURN(JsonValue doc, ReadJsonFile(path));
+  CaseReplay out;
+  const auto judge = [&out](const std::vector<AuditViolation>& violations,
+                            const std::string& history_failure) {
+    out.failed_check =
+        violations.empty() ? history_failure : violations.front().check;
+    out.as_recorded =
+        out.expected_check.empty()
+            ? out.failed_check.empty()
+            : FailsCheck(violations, history_failure, out.expected_check);
+  };
+  const std::string format = doc.GetString("format", "");
+  if (format == "samya-chaos-case-v1") {
+    SAMYA_ASSIGN_OR_RETURN(ChaosCase c, ChaosCase::FromJson(doc));
+    const ExperimentResult r = RunChaosCase(c, AuditOptions());
+    out.kind = "chaos";
+    out.expected_check = c.violation_check;
+    judge(r.violations, /*history_failure=*/"");
+    out.events_executed = r.events_executed;
+    out.ops = r.aggregate.TotalCommitted();
+    out.bundle = MakePostmortem(source, c.violation_check, c.ToJson(), r);
+  } else if (format == "samya-explore-case-v1") {
+    SAMYA_ASSIGN_OR_RETURN(ExploreCase c, ExploreCase::FromJson(doc));
+    ExploreRunResult r = RunExploreCase(c);
+    out.kind = "explore";
+    out.expected_check = c.violation_check;
+    judge(r.violations, r.history_failure);
+    out.events_executed = r.events_executed;
+    out.ops = r.ops_recorded;
+    out.bundle = MakePostmortem(source, c.ToJson(), r);
+    out.decisions = std::move(r.trace);
+  } else {
+    return Status::InvalidArgument("unknown case format '" + format + "'");
+  }
+  return out;
 }
 
 Result<std::vector<obs::FlightEvent>> FlightEventsOf(

@@ -7,6 +7,7 @@
 
 #include "common/json.h"
 #include "common/status.h"
+#include "harness/chaos.h"
 #include "harness/experiment.h"
 #include "harness/explore.h"
 #include "obs/flight_recorder.h"
@@ -18,16 +19,16 @@ namespace samya::harness {
 ///
 /// A bundle is the self-contained forensic record of one violating run:
 /// the reproducer (chaos/explore case JSON), the auditor's violation list,
-/// the metrics snapshot, and the flight-recorder tail. `chaos_search`,
-/// `samya_explore`, and the corpus replay tests dump one next to every
-/// violating case ("<case>_postmortem.json"); `tools/samya_postmortem`
-/// renders timelines, diffs two bundles to the first divergent protocol
-/// event, and exports to Perfetto.
+/// the metrics snapshot, and the flight-recorder tail. `samya_search` and
+/// the corpus replay test dump one next to every violating case
+/// ("<case>_postmortem.json"); `tools/samya_postmortem` renders timelines,
+/// diffs two bundles to the first divergent protocol event, and exports to
+/// Perfetto.
 
 /// Format "samya-postmortem-v1". All sections are optional except
 /// `failed_check`; absent sections load as JSON null / empty.
 struct PostmortemBundle {
-  /// Producing tool ("chaos_search", "samya_explore", "corpus_replay", ...).
+  /// Producing tool ("samya_search", "samya_postmortem", "corpus_replay").
   std::string source;
   /// First failed check ("conservation", "linearizability", ...).
   std::string failed_check;
@@ -64,6 +65,31 @@ PostmortemBundle MakePostmortem(const std::string& source,
 /// the corpus convention); loading and re-writing is byte-identical.
 Status WritePostmortem(const PostmortemBundle& b, const std::string& path);
 Result<PostmortemBundle> LoadPostmortem(const std::string& path);
+
+/// Verdict of replaying one corpus case file (harness/chaos.h or
+/// harness/explore.h format), with the run's post-mortem bundle.
+struct CaseReplay {
+  const char* kind = "";        ///< "chaos" or "explore"
+  std::string expected_check;   ///< the case's `violation_check` ("" = clean)
+  std::string failed_check;     ///< this run's first failed check ("" = clean)
+  /// The run fails `expected_check`, or is clean when that is empty.
+  bool as_recorded = false;
+  uint64_t events_executed = 0;
+  /// Work the run did: committed client requests (chaos) or recorded
+  /// history ops (explore).
+  uint64_t ops = 0;
+  std::vector<sim::ChoicePoint> decisions;  ///< oracle trace; explore only
+  /// `reproducer` is the parsed case re-serialized; `failed_check` is the
+  /// case's recorded check when it names one.
+  PostmortemBundle bundle;
+};
+
+/// Loads a case file, dispatches on its "format" field
+/// ("samya-chaos-case-v1" or "samya-explore-case-v1") and runs it with the
+/// flight recorder armed. `source` names the caller in the bundle. Fails
+/// only when the file cannot be read or parsed as a case.
+Result<CaseReplay> ReplayCaseFile(const std::string& path,
+                                  const std::string& source);
 
 /// The canonical protocol events of the bundle's flight section, decoded.
 /// Empty when the bundle has no flight section; an event with an unknown

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/token_api.h"
-#include "consensus/paxos.h"
 #include "consensus/raft.h"
 #include "consensus/token_sm.h"
 #include "core/app_manager.h"
@@ -226,53 +225,18 @@ TEST(TruncationSweepTest, AppManagerRejectsTruncatedFrames) {
 }
 
 TEST(TruncationSweepTest, ConsensusNodesRejectTruncatedFrames) {
-  // Paxos and Raft carry their codecs inline in the handlers; sweep
-  // hand-built full encodings of every message type the same way.
+  // Raft carries its codecs inline in the handlers; sweep hand-built full
+  // encodings of every message type the same way.
   sim::Cluster cluster(3);
-  std::vector<rt::NodeId> ids = {0, 1, 2};
-
-  consensus::PaxosNode::Options popts;
-  popts.group = ids;
-  auto* paxos = cluster.AddNode<consensus::PaxosNode>(sim::kPaperRegions[0],
-                                                      popts);
-  paxos->set_storage(cluster.StorageFor(paxos->id()));
 
   consensus::RaftOptions ropts;
-  ropts.group = {1, 2, 3};
+  ropts.group = {0, 1, 2};
   auto* raft = cluster.AddNode<consensus::RaftNode>(
       sim::kPaperRegions[1], ropts,
       std::make_unique<consensus::TokenStateMachine>(100));
   raft->set_storage(cluster.StorageFor(raft->id()));
   cluster.StartAll();
   cluster.env().RunFor(Millis(1));
-
-  const Ballot ballot{3, 1};
-  std::vector<Encoded> paxos_msgs;
-  {
-    BufferWriter w;
-    ballot.EncodeTo(w);
-    paxos_msgs.emplace_back(consensus::kMsgPaxosPrepare, w.buffer());
-    paxos_msgs.emplace_back(consensus::kMsgPaxosAccepted, w.buffer());
-  }
-  {
-    BufferWriter w;
-    ballot.EncodeTo(w);
-    ballot.EncodeTo(w);
-    w.PutBool(true);
-    w.PutVarintSigned(42);
-    paxos_msgs.emplace_back(consensus::kMsgPaxosPromise, w.buffer());
-  }
-  {
-    BufferWriter w;
-    ballot.EncodeTo(w);
-    w.PutVarintSigned(42);
-    paxos_msgs.emplace_back(consensus::kMsgPaxosAccept, w.buffer());
-  }
-  {
-    BufferWriter w;
-    w.PutVarintSigned(42);
-    paxos_msgs.emplace_back(consensus::kMsgPaxosLearn, w.buffer());
-  }
 
   std::vector<Encoded> raft_msgs;
   {
@@ -307,15 +271,6 @@ TEST(TruncationSweepTest, ConsensusNodesRejectTruncatedFrames) {
     raft_msgs.emplace_back(consensus::kMsgRaftAppendResponse, w.buffer());
   }
 
-  for (const auto& [type, bytes] : paxos_msgs) {
-    for (size_t n = 0; n < bytes.size(); ++n) {
-      const uint64_t sent_before = cluster.net().stats().messages_sent;
-      BufferReader r(bytes.data(), n);
-      paxos->HandleMessage(1, type, r);
-      EXPECT_EQ(cluster.net().stats().messages_sent, sent_before);
-      EXPECT_FALSE(paxos->decided().has_value());
-    }
-  }
   for (const auto& [type, bytes] : raft_msgs) {
     for (size_t n = 0; n < bytes.size(); ++n) {
       const uint64_t sent_before = cluster.net().stats().messages_sent;

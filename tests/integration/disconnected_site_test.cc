@@ -114,8 +114,9 @@ TEST(DisconnectedSiteTest, DisconnectedRunsAreDeterministic) {
 }
 
 TEST(DisconnectedSiteTest, GeneratedIsolationSweepStaysClean) {
-  // The chaos_search grid in miniature: generated nemesis schedules with
-  // isolation waves armed, samya + bounded_counter, all clean after heal.
+  // The `samya_search chaos` grid in miniature: generated nemesis schedules
+  // with isolation waves armed, samya + bounded_counter, all clean after
+  // heal.
   for (SystemKind system :
        {SystemKind::kSamyaMajority, SystemKind::kBoundedCounter}) {
     ChaosCase c = MakeNemesisCase(system, /*seed=*/5, /*intensity=*/1.0,

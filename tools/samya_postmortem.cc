@@ -1,8 +1,8 @@
 // samya_postmortem — render, diff, and export post-mortem bundles.
 //
-// A bundle ("samya-postmortem-v1", written by chaos_search / samya_explore /
-// this tool's capture command) is the self-contained record of one violating
-// run: the reproducer case, the violation list, a metrics snapshot, and the
+// A bundle ("samya-postmortem-v1", written by samya_search or this tool's
+// capture command) is the self-contained record of one violating run: the
+// reproducer case, the violation list, a metrics snapshot, and the
 // flight-recorder tail (DESIGN.md §13).
 //
 // Subcommands:
@@ -35,14 +35,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "common/json.h"
-#include "harness/chaos.h"
-#include "harness/explore.h"
 #include "harness/postmortem.h"
 
 using namespace samya;           // NOLINT — tool code
@@ -80,50 +75,18 @@ int LoadOrDie(const std::string& path, PostmortemBundle* out) {
 }
 
 int RunCapture(const std::string& case_path, std::string out_path) {
-  std::ifstream in(case_path);
-  if (!in) {
-    std::fprintf(stderr, "cannot read %s\n", case_path.c_str());
+  auto replayed = ReplayCaseFile(case_path, "samya_postmortem");
+  if (!replayed.ok()) {
+    std::fprintf(stderr, "%s: %s\n", case_path.c_str(),
+                 replayed.status().message().c_str());
     return 2;
   }
-  std::stringstream buf;
-  buf << in.rdbuf();
-  auto parsed = JsonParse(buf.str());
-  if (!parsed.ok()) {
-    std::fprintf(stderr, "parse error: %s\n",
-                 parsed.status().message().c_str());
-    return 2;
-  }
-  const std::string format = parsed.value().GetString("format", "");
-  PostmortemBundle bundle;
-  if (format == "samya-chaos-case-v1") {
-    auto c = ChaosCase::FromJson(parsed.value());
-    if (!c.ok()) {
-      std::fprintf(stderr, "bad case: %s\n", c.status().message().c_str());
-      return 2;
-    }
-    AuditOptions audit;
-    audit.enabled = true;
-    const ExperimentResult r = RunChaosCase(c.value(), audit);
-    bundle = MakePostmortem("samya_postmortem", c.value().violation_check,
-                            c.value().ToJson(), r);
-    std::printf("capture: chaos case, %zu violation(s)\n",
-                r.violations.size());
-  } else if (format == "samya-explore-case-v1") {
-    auto c = ExploreCase::FromJson(parsed.value());
-    if (!c.ok()) {
-      std::fprintf(stderr, "bad case: %s\n", c.status().message().c_str());
-      return 2;
-    }
-    const ExploreRunResult r = RunExploreCase(c.value());
-    bundle = MakePostmortem("samya_postmortem", c.value().ToJson(), r);
-    std::printf("capture: explore case, %s\n",
-                r.violated() ? r.failed_check.c_str() : "clean");
-  } else {
-    std::fprintf(stderr, "unknown case format '%s'\n", format.c_str());
-    return 2;
-  }
+  const CaseReplay& r = replayed.value();
+  std::printf("capture: %s case, %s, %zu violation(s)\n", r.kind,
+              r.failed_check.empty() ? "clean" : r.failed_check.c_str(),
+              r.bundle.violations.size());
   if (out_path.empty()) out_path = DerivedPath(case_path, "_postmortem");
-  const Status st = WritePostmortem(bundle, out_path);
+  const Status st = WritePostmortem(r.bundle, out_path);
   if (!st.ok()) {
     std::fprintf(stderr, "%s\n", st.message().c_str());
     return 2;
