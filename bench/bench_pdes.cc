@@ -57,7 +57,7 @@ struct Row {
   bool pdes_active = false;
   std::string fallback;
   Digest digest;
-  /// Runtime attribution of the best rep (DESIGN.md §13): where the wall
+  /// Runtime attribution of the best rep (DESIGN.md §8): where the wall
   /// clock went — barriers vs parallel phases — and how busy each worker
   /// and partition actually was.
   sim::PdesRunStats stats;

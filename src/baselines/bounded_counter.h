@@ -151,7 +151,7 @@ class BoundedCounterSite : public rt::Node {
   BoundedCounterOptions opts_;
   storage::StableStorage* storage_ = nullptr;
   HistoryTap history_tap_;
-  /// Flight recorder (DESIGN.md §13): gossip merges and rights transfers.
+  /// Flight recorder (DESIGN.md §8): gossip merges and rights transfers.
   obs::FlightRecorder* flight_ = nullptr;
 
   size_t my_slot_ = 0;

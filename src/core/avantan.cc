@@ -38,23 +38,6 @@ void Site::StartMajorityElection(InstanceId instance, bool recovery) {
   role_ = Role::kLeader;
   leader_phase_ = LeaderPhase::kElection;
   recovery_mode_ = recovery;
-  if (tracer_ != nullptr) {
-    // Fresh leadership opens the round span under the ambient context (the
-    // triggering acquire request, or nothing for proactive/epoch triggers).
-    // Recovery re-elections keep the existing round span and just open a
-    // new phase under it. Opened before Engage so Engage sees it.
-    tracer_->EndSpan(Now(), phase_span_);
-    if (!instance_span_.valid()) {
-      instance_span_ =
-          tracer_->BeginSpan(Now(), id(), "avantan.majority.instance",
-                             "round", tracer_->current());
-      tracer_->SetSpanArg(instance_span_, 0, "instance", instance);
-    }
-    phase_span_ =
-        tracer_->BeginSpan(Now(), id(),
-                           recovery ? "election.recovery" : "election",
-                           "phase", instance_span_);
-  }
   phase_started_ = Now();
   Engage(instance);
   ballot_ = Ballot{ballot_.num + 1, id()};
@@ -81,10 +64,6 @@ void Site::StartMajorityElection(InstanceId instance, bool recovery) {
   SAMYA_LOG_DEBUG("site %d leads instance %lld at ballot %s", id(),
                   static_cast<long long>(instance),
                   ballot_.ToString().c_str());
-  // The phase context rides the broadcast (and the timeout timer), so
-  // cohort engage spans and the retry path parent under this election.
-  obs::Tracer::ContextGuard guard(phase_span_.valid() ? tracer_ : nullptr,
-                                  phase_span_);
   BufferWriter w;
   ElectionGetValue{instance, ballot_, recovery}.EncodeTo(w);
   BroadcastToOthers(kMsgElectionGetValue, w, opts_.sites);
@@ -248,10 +227,6 @@ void Site::MajorityChooseAndAccept() {
   if (hist_election_us_ != nullptr) {
     hist_election_us_->Record(Now() - phase_started_);
   }
-  if (tracer_ != nullptr) {
-    tracer_->EndSpan(Now(), phase_span_);
-    phase_span_ = obs::TraceContext{};
-  }
 
   // Value choice (lines 15-23) including the failure-recovery rules.
   bool chosen_decision = false;
@@ -287,8 +262,6 @@ void Site::MajorityChooseAndAccept() {
 
   if (chosen_decision) {
     // Someone already learned the decision: just distribute it.
-    obs::Tracer::ContextGuard guard(
-        instance_span_.valid() ? tracer_ : nullptr, instance_span_);
     BufferWriter w;
     DecisionMsg{instance, ballot_, chosen}.EncodeTo(w);
     BroadcastToOthers(kMsgDecision, w, opts_.sites);
@@ -308,13 +281,7 @@ void Site::MajorityChooseAndAccept() {
                     static_cast<int64_t>(accept_val_.entries.size()));
   }
 
-  if (tracer_ != nullptr) {
-    phase_span_ =
-        tracer_->BeginSpan(Now(), id(), "accept", "phase", instance_span_);
-  }
   phase_started_ = Now();
-  obs::Tracer::ContextGuard guard(phase_span_.valid() ? tracer_ : nullptr,
-                                  phase_span_);
   BufferWriter w;
   AcceptValue{instance, ballot_, accept_val_, false}.EncodeTo(w);
   BroadcastToOthers(kMsgAcceptValue, w, opts_.sites);
@@ -400,14 +367,8 @@ void Site::OnAcceptOk(rt::NodeId from, const AcceptOk& m) {
   if (hist_accept_us_ != nullptr) {
     hist_accept_us_->Record(Now() - phase_started_);
   }
-  if (tracer_ != nullptr) {
-    tracer_->EndSpan(Now(), phase_span_);
-    phase_span_ = obs::TraceContext{};
-  }
   const InstanceId instance = *engaged_;
   const StateList value = accept_val_;
-  obs::Tracer::ContextGuard guard(instance_span_.valid() ? tracer_ : nullptr,
-                                  instance_span_);
   BufferWriter w;
   DecisionMsg{instance, ballot_, value}.EncodeTo(w);
   if (IsAnyMode()) {
@@ -439,14 +400,6 @@ void Site::StartAnyElection() {
   CancelTimer(watchdog_timer_);
   role_ = Role::kLeader;
   leader_phase_ = LeaderPhase::kElection;
-  if (tracer_ != nullptr) {
-    tracer_->EndSpan(Now(), phase_span_);
-    instance_span_ = tracer_->BeginSpan(Now(), id(), "avantan.any.instance",
-                                        "round", tracer_->current());
-    tracer_->SetSpanArg(instance_span_, 0, "instance", instance);
-    phase_span_ =
-        tracer_->BeginSpan(Now(), id(), "election", "phase", instance_span_);
-  }
   phase_started_ = Now();
   Engage(instance);
   ballot_ = Ballot{ballot_.num + 1, id()};
@@ -466,8 +419,6 @@ void Site::StartAnyElection() {
   election_responses_[id()] = self;
   Persist();
 
-  obs::Tracer::ContextGuard guard(phase_span_.valid() ? tracer_ : nullptr,
-                                  phase_span_);
   BufferWriter w;
   ElectionGetValue{instance, ballot_}.EncodeTo(w);
   BroadcastToOthers(kMsgElectionGetValue, w, opts_.sites);
@@ -486,14 +437,7 @@ void Site::AnyProceedToAccept() {
   if (hist_election_us_ != nullptr) {
     hist_election_us_->Record(Now() - phase_started_);
   }
-  if (tracer_ != nullptr) {
-    tracer_->EndSpan(Now(), phase_span_);
-    phase_span_ =
-        tracer_->BeginSpan(Now(), id(), "accept", "phase", instance_span_);
-  }
   phase_started_ = Now();
-  obs::Tracer::ContextGuard guard(phase_span_.valid() ? tracer_ : nullptr,
-                                  phase_span_);
 
   // R_t = exactly the sites whose InitVals we collected (change i).
   accept_val_ = StateList{};
@@ -544,9 +488,6 @@ void Site::StartAnyRecovery() {
     ApplyDecision(*engaged_, accept_val_);
     return;
   }
-  // Recovery retransmits/probes attribute to the round span.
-  obs::Tracer::ContextGuard guard(instance_span_.valid() ? tracer_ : nullptr,
-                                  instance_span_);
   // Retransmit Accept-Value a few times first (cheap), then probe R_t.
   if (role_ == Role::kLeader && any_retransmits_ < kMaxAcceptRetransmits) {
     ++any_retransmits_;
@@ -649,8 +590,6 @@ void Site::ConcludeAnyRecovery() {
                     obs::kPhaseRecoveryConclude, instance,
                     static_cast<int64_t>(participants.size()));
   }
-  obs::Tracer::ContextGuard guard(instance_span_.valid() ? tracer_ : nullptr,
-                                  instance_span_);
   BufferWriter w;
   DecisionMsg{instance, ballot_, value}.EncodeTo(w);
   BroadcastToOthers(kMsgDecision, w, participants);
@@ -754,12 +693,6 @@ void Site::FinishInstanceLocally(InstanceId instance, const StateList& value) {
     if (hist_instance_us_ != nullptr) {
       hist_instance_us_->Record(Now() - freeze_started_);
     }
-    if (tracer_ != nullptr) {
-      tracer_->EndSpan(Now(), phase_span_);
-      tracer_->EndSpan(Now(), instance_span_);
-      phase_span_ = obs::TraceContext{};
-      instance_span_ = obs::TraceContext{};
-    }
     AccountUnfreeze();
     engaged_.reset();
     ResetInstanceState();
@@ -802,13 +735,6 @@ void Site::AbortInstance(InstanceId instance) {
   if (flight_ != nullptr) {
     flight_->Record(Now(), id(), obs::FlightKind::kPhase, obs::kPhaseAbort,
                     instance, tokens_left_);
-  }
-  if (tracer_ != nullptr) {
-    tracer_->Instant(Now(), id(), "abort", "round", instance_span_);
-    tracer_->EndSpan(Now(), phase_span_);
-    tracer_->EndSpan(Now(), instance_span_);
-    phase_span_ = obs::TraceContext{};
-    instance_span_ = obs::TraceContext{};
   }
   AccountUnfreeze();
   engaged_.reset();

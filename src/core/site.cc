@@ -44,7 +44,6 @@ Site::Site(rt::NodeId id, rt::Region region, SiteOptions opts)
 Site::~Site() = default;
 
 void Site::Start() {
-  tracer_ = runtime()->tracer();
   flight_ = runtime()->flight_for(id());
   // The shard-local registry under PDES (merged in partition order at run
   // end), the primary one otherwise.
@@ -75,15 +74,6 @@ void Site::Start() {
 }
 
 void Site::HandleCrash() {
-  if (tracer_ != nullptr) {
-    // Spans die with the volatile state that owned them.
-    for (const auto& [rid, ctx] : request_spans_) tracer_->EndSpan(Now(), ctx);
-    tracer_->EndSpan(Now(), phase_span_);
-    tracer_->EndSpan(Now(), instance_span_);
-  }
-  request_spans_.clear();
-  phase_span_ = obs::TraceContext{};
-  instance_span_ = obs::TraceContext{};
   queue_.clear();
   queued_ids_.clear();
   committed_writes_.clear();
@@ -450,24 +440,6 @@ bool Site::OnClientRequest(rt::NodeId from, BufferReader& r) {
     // copy will answer when it drains.
     if (queued_ids_.count(req->request_id) > 0) return true;
   }
-  // Open the request span once the request is known to be fresh; it stays
-  // open across freezes (queued requests) and ends in Respond. The guard
-  // makes the request the ambient parent for everything this arrival
-  // triggers — including a reactive Avantan round.
-  obs::TraceContext req_ctx;
-  if (tracer_ != nullptr) {
-    const char* name = req->op == TokenOp::kAcquire    ? "acquire"
-                       : req->op == TokenOp::kRelease ? "release"
-                                                       : "read";
-    req_ctx = tracer_->BeginSpan(Now(), id(), name, "request",
-                                 tracer_->current());
-    tracer_->SetSpanArg(req_ctx, 0, "amount", req->amount);
-    tracer_->SetSpanArg(req_ctx, 1, "request_id",
-                        static_cast<int64_t>(req->request_id));
-    request_spans_[req->request_id] = req_ctx;
-  }
-  obs::Tracer::ContextGuard guard(req_ctx.valid() ? tracer_ : nullptr,
-                                  req_ctx);
   if (req->op == TokenOp::kAcquire) {
     demand_this_epoch_ += static_cast<double>(req->amount);
   }
@@ -476,6 +448,7 @@ bool Site::OnClientRequest(rt::NodeId from, BufferReader& r) {
     queue_.push_back(QueuedRequest{from, *req});
     queued_ids_.insert(req->request_id);
     ++stats_.requests_queued;
+    RecordRequestWait(obs::kRequestQueued, *req);
     return true;
   }
   ServeOrQueue(from, *req);
@@ -493,6 +466,9 @@ void Site::ServeOrQueue(rt::NodeId client, const TokenRequest& req) {
     queue_.push_back(QueuedRequest{client, req});
     queued_ids_.insert(req.request_id);
     ++stats_.requests_queued;
+    // Recorded before the trigger: the round's election_start then shares
+    // this event's (site, at).
+    RecordRequestWait(obs::kRequestQueued, req);
     TriggerReactive(req.amount);
     return;
   }
@@ -557,19 +533,6 @@ void Site::Respond(rt::NodeId client, uint64_t request_id, TokenStatus status,
   resp.value = value;
   send_scratch_.Clear();
   resp.EncodeTo(send_scratch_);
-  if (!request_spans_.empty()) {
-    auto it = request_spans_.find(request_id);
-    if (it != request_spans_.end()) {
-      // Send under the request's own context (so the response message joins
-      // its trace), then close the span.
-      const obs::TraceContext ctx = it->second;
-      request_spans_.erase(it);
-      obs::Tracer::ContextGuard guard(tracer_, ctx);
-      Send(client, kMsgTokenResponse, send_scratch_);
-      tracer_->EndSpan(Now(), ctx);
-      return;
-    }
-  }
   Send(client, kMsgTokenResponse, send_scratch_);
 }
 
@@ -581,19 +544,13 @@ void Site::DrainQueue() {
     QueuedRequest q = std::move(queue_.front());
     queue_.pop_front();
     queued_ids_.erase(q.request.request_id);
-    // Re-install the request's span (opened at arrival) as ambient context,
-    // so its service after the freeze still attributes to its trace.
-    obs::TraceContext ctx;
-    if (!request_spans_.empty()) {
-      auto it = request_spans_.find(q.request.request_id);
-      if (it != request_spans_.end()) ctx = it->second;
-    }
-    obs::Tracer::ContextGuard guard(ctx.valid() ? tracer_ : nullptr, ctx);
+    TokenStatus status = TokenStatus::kCommitted;
     if (!ServeLocally(q.client, q.request)) {
       ++stats_.rejected;
-      Respond(q.client, q.request.request_id, TokenStatus::kRejected,
-              tokens_left_);
+      status = TokenStatus::kRejected;
+      Respond(q.client, q.request.request_id, status, tokens_left_);
     }
+    RecordRequestAnswered(q.request.request_id, status);
   }
 }
 
@@ -664,6 +621,7 @@ void Site::StartGlobalRead(rt::NodeId client, const TokenRequest& req) {
   pending.client = client;
   pending.request_id = req.request_id;
   pending.timer = SetTimer(opts_.read_timeout, ReadTimerToken(read_id));
+  RecordRequestWait(obs::kRequestRead, req);
   BufferWriter w;
   ReadQuery{read_id}.EncodeTo(w);
   for (rt::NodeId site : opts_.sites) {
@@ -694,6 +652,7 @@ void Site::CompleteRead(uint64_t read_id) {
   ++stats_.committed_reads;
   Respond(it->second.client, it->second.request_id, TokenStatus::kCommitted,
           it->second.sum + tokens_left_);
+  RecordRequestAnswered(it->second.request_id, TokenStatus::kCommitted);
   reads_.erase(it);
 }
 
@@ -875,14 +834,20 @@ void Site::Engage(InstanceId instance) {
     }
   }
   engaged_ = instance;
-  // A leader opens its own instance span before engaging; everyone else
-  // (cohorts engaging on an incoming protocol message) gets an engage span
-  // parented under the ambient context — the leader's phase span, carried
-  // across the network hop — so the whole round hangs off one trace.
-  if (tracer_ != nullptr && !instance_span_.valid()) {
-    instance_span_ = tracer_->BeginSpan(Now(), id(), "avantan.engage",
-                                        "round", tracer_->current());
-    tracer_->SetSpanArg(instance_span_, 0, "instance", instance);
+}
+
+void Site::RecordRequestWait(uint16_t code, const TokenRequest& req) {
+  if (flight_ != nullptr) {
+    flight_->Record(Now(), id(), obs::FlightKind::kRequest, code,
+                    static_cast<int64_t>(req.request_id), req.amount);
+  }
+}
+
+void Site::RecordRequestAnswered(uint64_t request_id, TokenStatus status) {
+  if (flight_ != nullptr) {
+    flight_->Record(Now(), id(), obs::FlightKind::kRequest,
+                    obs::kRequestAnswered, static_cast<int64_t>(request_id),
+                    static_cast<int64_t>(status));
   }
 }
 

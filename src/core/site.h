@@ -17,7 +17,6 @@
 #include "core/reallocator.h"
 #include "core/types.h"
 #include "obs/flight_recorder.h"
-#include "obs/trace.h"
 #include "predict/predictor.h"
 #include "rt/node.h"
 #include "storage/stable_storage.h"
@@ -200,6 +199,10 @@ class Site : public rt::Node {
   /// the freeze-time clock; idempotent while already engaged.
   void Engage(InstanceId instance);
   void AccountUnfreeze();
+  /// Flight events of a request not answered in its arrival handler:
+  /// `code` is kRequestQueued or kRequestRead; the answer closes the wait.
+  void RecordRequestWait(uint16_t code, const TokenRequest& req);
+  void RecordRequestAnswered(uint64_t request_id, TokenStatus status);
 
   // --- Request handling ----------------------------------------------------
   /// Decodes and serves one client request; false if the decode failed
@@ -365,18 +368,10 @@ class Site : public rt::Node {
   const char* ProtocolName() const {
     return IsAnyMode() ? "any" : "majority";
   }
-  obs::Tracer* tracer_ = nullptr;
-  /// Shard-local flight recorder (DESIGN.md §13); unlike the tracer it
-  /// stays armed under PDES (this site's shard ring, merged at FinishRun).
+  /// Shard-local flight recorder: this site's shard ring under PDES,
+  /// merged at FinishRun. Rounds, phases and request waits are derived
+  /// from its events after the run (harness/postmortem.h).
   obs::FlightRecorder* flight_ = nullptr;
-  /// Open request spans by request id: begun at arrival, ended in Respond.
-  /// Requests queued behind a freeze keep their span open across the drain.
-  std::unordered_map<uint64_t, obs::TraceContext> request_spans_;
-  /// Round span for the instance this site is engaged in (any role): the
-  /// leader's "avantan.<variant>.instance" or a cohort's "avantan.engage".
-  obs::TraceContext instance_span_;
-  /// Leader's current phase sub-span (election / accept / recovery).
-  obs::TraceContext phase_span_;
   SimTime phase_started_ = 0;
   Histogram* hist_election_us_ = nullptr;  ///< leader election-phase duration
   Histogram* hist_accept_us_ = nullptr;    ///< leader accept-phase duration

@@ -119,10 +119,10 @@ ExperimentOptions MakeChaosOptions(const ChaosCase& c, AuditOptions audit) {
   }
   audit.load_end = c.duration;
   o.audit = audit;
-  // Always-armed flight recorder (DESIGN.md §13): a violating run's own
+  // Always-armed flight recorder (DESIGN.md §8): a violating run's own
   // result then carries the protocol history the post-mortem bundle needs,
   // with no second run. Pure observer — replays stay bit-identical.
-  o.obs.flight_recorder = true;
+  o.obs.flight_capacity = obs::FlightRecorder::kDefaultCapacity;
   return o;
 }
 

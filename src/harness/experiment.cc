@@ -123,9 +123,6 @@ std::string PdesIneligibility(const ExperimentOptions& opts) {
   if (opts.audit.enabled) {
     return "invariant auditor reads cross-site state mid-run";
   }
-  if (opts.obs.tracing) {
-    return "tracing attached: spans append to one shared buffer";
-  }
   for (const sim::FaultOp& op : opts.fault_schedule.ops) {
     if ((op.kind == sim::FaultOp::Kind::kSetDelayFactor ||
          op.kind == sim::FaultOp::Kind::kSetLinkDelayFactor) &&
@@ -163,11 +160,11 @@ void Experiment::Setup() {
   }
 
   if (opts_.obs.any()) {
-    // Attach before any node starts: sites cache the tracer/metrics
+    // Attach before any node starts: sites cache the flight/metrics
     // pointers in Start(), so late attachment would instrument nothing.
     obs_ = std::make_shared<obs::Observability>(opts_.obs);
-    cluster_->net().set_observability(obs_->tracer(), obs_->metrics(),
-                                      obs_->profiler(), obs_->flight());
+    cluster_->net().set_observability(obs_->flight(), obs_->metrics(),
+                                      obs_->profiler());
     cluster_->env().set_profiler(obs_->profiler());
   }
 
@@ -194,8 +191,8 @@ void Experiment::Setup() {
 
 void Experiment::FinishObsSetup() {
   if (obs_ == nullptr) return;
-  obs::Tracer* tracer = obs_->tracer();
-  if (tracer == nullptr) return;
+  obs::FlightRecorder* flight = obs_->flight();
+  if (flight == nullptr) return;
   // Every node becomes a "process" row in the Perfetto export; give each a
   // readable name. Servers and clients are known by id; everything between
   // is an app manager.
@@ -204,13 +201,13 @@ void Experiment::FinishObsSetup() {
   for (sim::NodeId id : server_ids_) {
     std::snprintf(buf, sizeof(buf), "site %d (%s)", id,
                   sim::RegionName(cluster_->node(id)->region()));
-    tracer->SetProcessName(id, buf);
+    flight->NameNode(id, buf);
     named[static_cast<size_t>(id)] = true;
   }
   for (sim::NodeId id : client_ids_) {
     std::snprintf(buf, sizeof(buf), "client %d (%s)", id,
                   sim::RegionName(cluster_->node(id)->region()));
-    tracer->SetProcessName(id, buf);
+    flight->NameNode(id, buf);
     named[static_cast<size_t>(id)] = true;
   }
   for (size_t i = 0; i < named.size(); ++i) {
@@ -218,7 +215,7 @@ void Experiment::FinishObsSetup() {
     const auto id = static_cast<sim::NodeId>(i);
     std::snprintf(buf, sizeof(buf), "app manager %d (%s)", id,
                   sim::RegionName(cluster_->node(id)->region()));
-    tracer->SetProcessName(id, buf);
+    flight->NameNode(id, buf);
   }
 }
 
@@ -480,8 +477,8 @@ ExperimentResult Experiment::Run() {
   }
   if (obs_ != nullptr) {
     SnapshotMetrics();
-    if (obs::Tracer* tracer = obs_->tracer()) {
-      tracer->CloseOpenSpans(cluster_->env().Now());
+    if (obs::FlightRecorder* flight = obs_->flight()) {
+      flight->set_end(cluster_->env().Now());
     }
     result.obs = obs_;
   }
@@ -605,13 +602,6 @@ JsonValue BuildMetricsSnapshot(const ExperimentResult& result) {
     }
     if (const obs::EventLoopProfiler* prof = result.obs->profiler()) {
       root.Set("profiler", prof->ToJson());
-    }
-    if (const obs::Tracer* tracer = result.obs->tracer()) {
-      JsonValue t = JsonValue::MakeObject();
-      t.Set("spans", static_cast<uint64_t>(tracer->spans().size()));
-      t.Set("instants", static_cast<uint64_t>(tracer->instants().size()));
-      t.Set("messages", static_cast<uint64_t>(tracer->messages().size()));
-      root.Set("trace", std::move(t));
     }
     if (const obs::FlightRecorder* flight = result.obs->flight()) {
       // Summary only; the full event history lives in the post-mortem

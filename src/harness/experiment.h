@@ -82,7 +82,7 @@ struct ExperimentOptions {
   AuditOptions audit;
 
   /// Observability components to attach (DESIGN.md §8). All off by default:
-  /// the simulator then runs its untraced hot path.
+  /// the simulator then runs its uninstrumented hot path.
   obs::ObsOptions obs;
 
   // Schedule exploration (DESIGN.md §10). Both non-owning and null by
@@ -122,9 +122,9 @@ struct ExperimentResult {
   uint64_t dropped_violations = 0;
   uint64_t audit_ticks = 0;
 
-  /// The run's observability bundle (metrics registry / tracer / profiler),
-  /// set iff any `ExperimentOptions::obs` component was on. Shared so sweep
-  /// results can be moved around without copying trace buffers.
+  /// The run's observability bundle (metrics registry / profiler / flight
+  /// recorder), set iff any `ExperimentOptions::obs` component was on.
+  /// Shared so sweep results can be moved around without copying buffers.
   std::shared_ptr<obs::Observability> obs;
 
   double MeanTps(Duration duration) const {

@@ -118,9 +118,9 @@ ExperimentOptions MakeExploreOptions(const ExploreCase& c) {
     o.audit.heal_time = 0;  // no faults: liveness checks stay disarmed
     o.audit.load_end = c.duration;
   }
-  // Always-armed flight recorder (DESIGN.md §13): violating schedules dump
+  // Always-armed flight recorder (DESIGN.md §8): violating schedules dump
   // a post-mortem bundle straight from the run's own recorder.
-  o.obs.flight_recorder = true;
+  o.obs.flight_capacity = obs::FlightRecorder::kDefaultCapacity;
   return o;
 }
 

@@ -2,6 +2,7 @@
 #define SAMYA_HARNESS_POSTMORTEM_H_
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -15,15 +16,17 @@
 namespace samya::harness {
 
 /// \file
-/// Post-mortem bundles (DESIGN.md §13).
+/// Post-mortem bundles and the views derived from their flight history
+/// (DESIGN.md §8).
 ///
-/// A bundle is the self-contained forensic record of one violating run:
-/// the reproducer (chaos/explore case JSON), the auditor's violation list,
-/// the metrics snapshot, and the flight-recorder tail. `samya_search` and
-/// the corpus replay test dump one next to every violating case
-/// ("<case>_postmortem.json"); `tools/samya_postmortem` renders timelines,
-/// diffs two bundles to the first divergent protocol event, and exports to
-/// Perfetto.
+/// A bundle is the self-contained record of one run: the reproducer
+/// (chaos/explore case JSON), the auditor's violation list, the metrics
+/// snapshot, and the flight-recorder history. `samya_search` and the corpus
+/// replay test dump one next to every violating case
+/// ("<case>_postmortem.json"); `samya_postmortem capture` writes one for a
+/// clean case or a whole experiment. Spans (Avantan rounds, phases, request
+/// waits, disconnected epochs) and message flights are derived from the
+/// flight events here, once, for both the report and the Perfetto export.
 
 /// Format "samya-postmortem-v1". All sections are optional except
 /// `failed_check`; absent sections load as JSON null / empty.
@@ -121,9 +124,65 @@ struct PostmortemDiff {
 PostmortemDiff DiffPostmortems(const PostmortemBundle& a,
                                const PostmortemBundle& b);
 
-/// Chrome trace-event export of the bundle's flight history (instant events
-/// per site process, violation markers on their own track), loadable in
-/// Perfetto like `WriteChromeTrace` output.
+/// A sim-time interval on one node, derived from flight events.
+struct FlightSpan {
+  /// "avantan.round" (a leader's instance), "avantan.engage" (a cohort's),
+  /// "election" / "accept" / "recovery" (phases), "request.queued" /
+  /// "request.read" (waits), "disconnected" / "reconcile" (epochs).
+  const char* name = "";
+  const char* category = "";  ///< "round" | "phase" | "request" | "epoch"
+  int32_t site = -1;
+  int64_t key = 0;  ///< instance id, request id, or epoch
+  SimTime start = 0;
+  SimTime end = 0;  ///< the run's end for spans still open then
+};
+
+enum class MessageFate : uint8_t { kInFlight, kDelivered, kDropped };
+
+/// One message copy: a send event and, when retained, its paired delivery.
+struct MessageFlight {
+  SimTime sent = 0;
+  SimTime arrived = -1;  ///< delivery or drop-at-delivery time; -1 if none
+  int32_t from = -1;
+  int32_t to = -1;
+  uint32_t type = 0;
+  int64_t bytes = 0;
+  MessageFate fate = MessageFate::kInFlight;
+};
+
+struct FlightViews {
+  std::vector<FlightSpan> spans;        ///< in start order
+  std::vector<MessageFlight> messages;  ///< in send order
+  std::map<int32_t, std::string> nodes;
+  SimTime end = 0;
+};
+
+/// Derives spans and message flights from canonical protocol events.
+///  - Rounds and phases are keyed by (site, instance) from `kPhase` events:
+///    an engage that an election_start of the same instance follows at the
+///    same (site, at) opens a leader round, any other engage a cohort's
+///    engage span; finish and abort close both, decided closes the phase.
+///  - A delivery pairs with the send at (site=from, seq=c); deliveries with
+///    c < 0 (real backend) or whose send was evicted stay unpaired.
+///  - A request wait runs from its kRequest begin to its answer.
+/// Spans still open at `end` close there (end of the last event if 0).
+FlightViews DeriveFlightViews(const std::vector<obs::FlightEvent>& evs,
+                              SimTime end);
+
+/// `DeriveFlightViews` over `evs`, the bundle's decoded events
+/// (`FlightEventsOf`), with the bundle's node names and run end.
+FlightViews FlightViewsOf(const PostmortemBundle& b,
+                          const std::vector<obs::FlightEvent>& evs);
+
+/// The report's derived tables: span latency by name, the slowest rounds
+/// with their phases, per-type message counts and flight times, and
+/// Avantan messages per leader round (the Table 3 view).
+std::string RenderFlightViews(const FlightViews& v);
+
+/// Chrome trace-event export, loadable in ui.perfetto.dev: one process per
+/// node, spans as async "b"/"e" pairs keyed by instance/request id, message
+/// flights as "X" events on the sender, every other flight event as an
+/// instant (violation markers on their own track).
 Status ExportFlightChromeTrace(const PostmortemBundle& b,
                                const std::string& path);
 

@@ -71,7 +71,7 @@ BackendRun RealHarness::RunSim() {
   eopts.scripts_override = scripts_;
   eopts.audit.enabled = true;
   eopts.obs.metrics = true;
-  eopts.obs.flight_recorder = true;
+  eopts.obs.flight_capacity = obs::FlightRecorder::kDefaultCapacity;
 
   const auto wall_start = std::chrono::steady_clock::now();
   Experiment ex(eopts);

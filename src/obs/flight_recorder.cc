@@ -49,8 +49,9 @@ void FlightRecorder::Push(std::vector<FlightEvent>& ring, uint64_t& total,
   ++total;
 }
 
-void FlightRecorder::Record(SimTime at, int32_t site, FlightKind kind,
-                            uint16_t code, int64_t a, int64_t b, int64_t c) {
+uint32_t FlightRecorder::Record(SimTime at, int32_t site, FlightKind kind,
+                                uint16_t code, int64_t a, int64_t b,
+                                int64_t c) {
   SAMYA_CHECK_GE(site, 0);
   FlightEvent ev;
   ev.at = at;
@@ -62,6 +63,7 @@ void FlightRecorder::Record(SimTime at, int32_t site, FlightKind kind,
   ev.b = b;
   ev.c = c;
   Push(ring_, total_, ev);
+  return ev.seq;
 }
 
 void FlightRecorder::RecordRuntime(SimTime at, int32_t partition,
@@ -154,6 +156,15 @@ JsonValue FlightRecorder::ToJson() const {
   root.Set("total", total_);
   root.Set("dropped", dropped());
   root.Set("complete_from", complete_from());
+  root.Set("end", end_);
+  JsonValue nodes = JsonValue::MakeArray();
+  for (const auto& [id, name] : nodes_) {
+    JsonValue n = JsonValue::MakeObject();
+    n.Set("id", static_cast<int64_t>(id));
+    n.Set("name", name);
+    nodes.Append(std::move(n));
+  }
+  root.Set("nodes", std::move(nodes));
   JsonValue events = JsonValue::MakeArray();
   for (const FlightEvent& ev : Canonical()) events.Append(EventToJson(ev));
   root.Set("events", std::move(events));
@@ -178,6 +189,7 @@ const char* FlightRecorder::KindName(FlightKind kind) {
     case FlightKind::kGossipMerge: return "gossip_merge";
     case FlightKind::kRightsTransfer: return "rights_transfer";
     case FlightKind::kViolation: return "violation";
+    case FlightKind::kRequest: return "request";
     case FlightKind::kClaim: return "pdes_claim";
     case FlightKind::kBarrier: return "pdes_barrier";
   }
@@ -192,8 +204,8 @@ bool FlightRecorder::KindFromName(const std::string& name, FlightKind* out) {
       FlightKind::kOpLogAppend,    FlightKind::kOpLogReplay,
       FlightKind::kReconcileOffer, FlightKind::kReconcileAck,
       FlightKind::kGossipMerge,    FlightKind::kRightsTransfer,
-      FlightKind::kViolation,      FlightKind::kClaim,
-      FlightKind::kBarrier};
+      FlightKind::kViolation,      FlightKind::kRequest,
+      FlightKind::kClaim,          FlightKind::kBarrier};
   for (FlightKind k : kAll) {
     if (name == KindName(k)) {
       *out = k;
@@ -248,6 +260,13 @@ const char* FlightRecorder::CodeName(FlightKind kind, uint16_t code) {
         case kTransferReceived: return "received";
         default: return "";
       }
+    case FlightKind::kRequest:
+      switch (code) {
+        case kRequestQueued: return "queued";
+        case kRequestRead: return "read";
+        case kRequestAnswered: return "answered";
+        default: return "";
+      }
     case FlightKind::kViolation:
       switch (code) {
         case kViolationConservation: return "conservation";
@@ -260,6 +279,39 @@ const char* FlightRecorder::CodeName(FlightKind kind, uint16_t code) {
       }
     default:
       return "";
+  }
+}
+
+const char* MessageTypeName(uint32_t type) {
+  switch (type) {
+    case 10: return "token_request";
+    case 11: return "token_response";
+    case 100: return "mp_prepare";
+    case 101: return "mp_promise";
+    case 102: return "mp_accept";
+    case 103: return "mp_accepted";
+    case 104: return "mp_commit";
+    case 105: return "mp_heartbeat";
+    case 120: return "raft_request_vote";
+    case 121: return "raft_vote_response";
+    case 122: return "raft_append_entries";
+    case 123: return "raft_append_response";
+    case 200: return "election_get_value";
+    case 201: return "election_ok_value";
+    case 202: return "accept_value";
+    case 203: return "accept_ok";
+    case 204: return "decision";
+    case 205: return "discard";
+    case 206: return "status_query";
+    case 207: return "status_reply";
+    case 230: return "read_query";
+    case 231: return "read_reply";
+    case 250: return "borrow_request";
+    case 251: return "borrow_reply";
+    case 260: return "gossip";
+    case 261: return "escrow_transfer_request";
+    case 262: return "escrow_transfer_reply";
+    default: return "msg";
   }
 }
 

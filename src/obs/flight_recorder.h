@@ -2,6 +2,9 @@
 #define SAMYA_OBS_FLIGHT_RECORDER_H_
 
 #include <cstdint>
+#include <limits>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "common/json.h"
@@ -10,14 +13,15 @@
 namespace samya::obs {
 
 /// \file
-/// Flight recorder (DESIGN.md §13).
+/// Flight recorder (DESIGN.md §8): the one event stream of a run.
 ///
-/// An always-on-capable, bounded ring of compact protocol events: what the
-/// system was doing in the moments before a violation, without the cost or
-/// the serial-fallback footprint of full tracing. Like every obs component
-/// it is a pure observer — instrumentation sites reduce to one null-pointer
-/// branch when disabled, and an armed recorder changes no RNG draw, payload
-/// byte, or event ordering (pinned by FlightRecorderDeterminismTest).
+/// A ring of compact protocol events, bounded for always-on sweeps and
+/// unbounded for full-run captures. Spans (rounds, phases, request waits),
+/// message flights and every report view are derived from it after the run
+/// (harness/postmortem.h). Like every obs component it is a pure observer —
+/// instrumentation sites reduce to one null-pointer branch when disabled,
+/// and an armed recorder changes no RNG draw, payload byte, or event
+/// ordering (pinned by FlightRecorderDeterminismTest).
 ///
 /// Two channels:
 ///  - protocol events (`FlightKind` < `kRuntimeBase`): sim-time-stamped
@@ -39,7 +43,9 @@ enum class FlightKind : uint16_t {
   kPhase = 1,        ///< Avantan phase transition; a=instance, b=aux
   kPoolDelta,        ///< token-pool change; a=delta, b=pool after
   kMsgSend,          ///< send fate (sender's shard); a=type, b=to, c=bytes
-  kMsgDeliver,       ///< delivery fate (receiver's shard); a=type, b=from
+  /// Delivery fate (receiver's shard); a=type, b=from, c=the send event's
+  /// seq on site `from` (-1 when the backend cannot pair it).
+  kMsgDeliver,
   kEpochEnter,       ///< disconnected epoch opened; a=epoch
   kEpochExit,        ///< epoch reconciled; a=epoch, b=served, c=appends
   kOpLogAppend,      ///< durable op-log append; a=seq, b=pool after
@@ -49,6 +55,9 @@ enum class FlightKind : uint16_t {
   kGossipMerge,      ///< BoundedCounter gossip merge; a=from, b=changed
   kRightsTransfer,   ///< BoundedCounter rights move; a=amount, b=peer
   kViolation,        ///< auditor violation marker; a=violation index
+  /// A client request that was not answered in its arrival handler;
+  /// a=request id. Begin codes b=amount; kRequestAnswered b=status.
+  kRequest,
   // ---- runtime channel (wall-clock, PDES scheduling) ----
   kClaim = 100,      ///< one claim; a=windows, b=wall ns, c=mailbox drained
   kBarrier,          ///< one barrier; a=global ops run, b=wall ns
@@ -85,6 +94,10 @@ enum : uint16_t {
   kTransferRequested = 1,
   kTransferGranted = 2,
   kTransferReceived = 3,
+  // kRequest
+  kRequestQueued = 1,     ///< write queued behind a freeze or its own round
+  kRequestRead = 2,       ///< global read fanned out
+  kRequestAnswered = 3,
   // kViolation: code identifies the check
   kViolationOther = 0,
   kViolationConservation = 1,
@@ -117,15 +130,18 @@ struct FlightEvent {
 
 class FlightRecorder {
  public:
+  /// Ring size for always-armed sweeps (chaos, explore, real harness).
   static constexpr size_t kDefaultCapacity = 1u << 16;
+  /// Full-run captures keep every event.
+  static constexpr size_t kUnbounded = std::numeric_limits<size_t>::max();
 
   explicit FlightRecorder(size_t capacity = kDefaultCapacity);
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
-  /// Protocol channel. `site` must be >= 0; `seq` is stamped internally.
-  void Record(SimTime at, int32_t site, FlightKind kind, uint16_t code,
-              int64_t a = 0, int64_t b = 0, int64_t c = 0);
+  /// Protocol channel. `site` must be >= 0; returns the `seq` it stamps.
+  uint32_t Record(SimTime at, int32_t site, FlightKind kind, uint16_t code,
+                  int64_t a = 0, int64_t b = 0, int64_t c = 0);
 
   /// Runtime channel (PDES wall-clock accounting). Bounded by the same
   /// capacity, in its own ring; never part of the canonical order.
@@ -155,12 +171,19 @@ class FlightRecorder {
   /// event. Diffs trim both sides to max(complete_from) before comparing.
   SimTime complete_from() const;
 
+  /// Display name of a node ("site 0 (us-west)"), carried as `nodes`.
+  void NameNode(int32_t id, std::string name) { nodes_[id] = std::move(name); }
+
+  /// Run end time, carried as `end`: spans still open then close at it.
+  void set_end(SimTime end) { end_ = end; }
+
   /// FNV-1a over the canonical protocol events. Bit-identical across
   /// serial/PDES and obs-on/off reruns of the same seed (no-wrap runs).
   uint64_t Digest() const;
 
-  /// {format:"samya-flight-v1", total, dropped, complete_from,
-  ///  events:[{at,site,seq,kind,code,a,b,c}], runtime:[...]}.
+  /// {format:"samya-flight-v1", total, dropped, complete_from, end,
+  ///  nodes:[{id,name}], events:[{at,site,seq,kind,code,a,b,c}],
+  ///  runtime:[...]}.
   /// Canonical order; `JsonDump(v, 2)` of this is the bundle's flight
   /// section and round-trips byte-identically through FromJson.
   JsonValue ToJson() const;
@@ -183,7 +206,13 @@ class FlightRecorder {
   uint64_t runtime_total_ = 0;
   SimTime evicted_until_ = 0;  ///< newest protocol event ever overwritten
   std::vector<uint32_t> seq_;  ///< per-site counters, indexed by site id
+  std::map<int32_t, std::string> nodes_;
+  SimTime end_ = 0;
 };
+
+/// Human name of a wire message type (registry in common/token_api.h).
+/// Returns a static string; unknown types map to "msg".
+const char* MessageTypeName(uint32_t type);
 
 }  // namespace samya::obs
 

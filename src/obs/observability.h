@@ -6,7 +6,6 @@
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
-#include "obs/trace.h"
 
 namespace samya::obs {
 
@@ -15,18 +14,18 @@ namespace samya::obs {
 /// instrumentation site reduces to a single predictable branch.
 struct ObsOptions {
   bool metrics = false;   ///< MetricsRegistry snapshot in the result
-  bool tracing = false;   ///< causal spans + message records (Perfetto export)
   bool profiler = false;  ///< event-loop wall-clock accounting
-  /// Bounded ring of protocol events (DESIGN.md §13). Unlike tracing it is
-  /// PDES-compatible (per-shard rings, merged at FinishRun), so it can stay
-  /// armed on every chaos/explore run for post-mortem capture.
-  bool flight_recorder = false;
+  /// Flight-recorder ring size (DESIGN.md §8); 0 = off. Sweeps keep
+  /// `FlightRecorder::kDefaultCapacity`; full-run captures pass
+  /// `FlightRecorder::kUnbounded`. PDES-compatible (per-shard rings of the
+  /// same capacity, merged at FinishRun).
+  size_t flight_capacity = 0;
 
-  bool any() const {
-    return metrics || tracing || profiler || flight_recorder;
+  bool any() const { return metrics || profiler || flight_capacity > 0; }
+
+  static ObsOptions All() {
+    return ObsOptions{true, true, FlightRecorder::kUnbounded};
   }
-
-  static ObsOptions All() { return ObsOptions{true, true, true, true}; }
 };
 
 /// \brief Bundle of the per-run observability components.
@@ -34,28 +33,27 @@ struct ObsOptions {
 /// One per simulation, created by `Experiment::Setup` when any component is
 /// requested and shared (by pointer) with the Network/SimEnvironment. Held
 /// by `shared_ptr` in results so parallel sweeps can move results around
-/// without copying trace buffers.
+/// without copying event buffers.
 class Observability {
  public:
   explicit Observability(const ObsOptions& options) : options_(options) {
     if (options.metrics) metrics_ = std::make_unique<MetricsRegistry>();
-    if (options.tracing) tracer_ = std::make_unique<Tracer>();
     if (options.profiler) profiler_ = std::make_unique<EventLoopProfiler>();
-    if (options.flight_recorder) flight_ = std::make_unique<FlightRecorder>();
+    if (options.flight_capacity > 0) {
+      flight_ = std::make_unique<FlightRecorder>(options.flight_capacity);
+    }
   }
 
   const ObsOptions& options() const { return options_; }
 
   /// Component accessors: null when the component is disabled.
   MetricsRegistry* metrics() const { return metrics_.get(); }
-  Tracer* tracer() const { return tracer_.get(); }
   EventLoopProfiler* profiler() const { return profiler_.get(); }
   FlightRecorder* flight() const { return flight_.get(); }
 
  private:
   ObsOptions options_;
   std::unique_ptr<MetricsRegistry> metrics_;
-  std::unique_ptr<Tracer> tracer_;
   std::unique_ptr<EventLoopProfiler> profiler_;
   std::unique_ptr<FlightRecorder> flight_;
 };

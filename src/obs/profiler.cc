@@ -4,7 +4,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "obs/trace.h"
+#include "obs/flight_recorder.h"
 
 namespace samya::obs {
 

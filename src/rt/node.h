@@ -11,7 +11,6 @@
 #include "rt/latency_model.h"
 
 namespace samya::obs {
-class Tracer;
 class MetricsRegistry;
 class FlightRecorder;
 }  // namespace samya::obs
@@ -55,7 +54,6 @@ class Runtime {
   virtual uint64_t ArmTimer(Node* node, Duration delay, uint64_t token) = 0;
 
   // --- Observability attachment points (any may be null) -------------------
-  virtual obs::Tracer* tracer() const { return nullptr; }
   virtual obs::MetricsRegistry* metrics_for(NodeId id) const {
     (void)id;
     return nullptr;

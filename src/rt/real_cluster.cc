@@ -28,6 +28,10 @@ constexpr size_t kMaxDatagram = 64 * 1024;
 /// A loop's next deadline when it has no timer and no held datagram.
 constexpr SimTime kNoDeadline = std::numeric_limits<SimTime>::max();
 
+/// Wire frames carry no flight seq, so a delivery event cannot name the
+/// send event it pairs with (kMsgDeliver's `c`).
+constexpr int64_t kUnpaired = -1;
+
 sockaddr_in LoopbackAddr(uint16_t port) {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
@@ -382,8 +386,7 @@ void RealCluster::Dispatch(Loop* loop, NodeId from, uint32_t type,
     obs::FlightRecorder* flight = flight_for(recv->id());
     if (flight != nullptr) {
       flight->Record(loop->now_us, recv->id(), obs::FlightKind::kMsgDeliver,
-                     obs::kDeliverDroppedCrashed, type, from,
-                     static_cast<int64_t>(n));
+                     obs::kDeliverDroppedCrashed, type, from, kUnpaired);
     }
     return;
   }
@@ -391,7 +394,7 @@ void RealCluster::Dispatch(Loop* loop, NodeId from, uint32_t type,
   obs::FlightRecorder* flight = flight_for(recv->id());
   if (flight != nullptr) {
     flight->Record(loop->now_us, recv->id(), obs::FlightKind::kMsgDeliver,
-                   obs::kDeliverOk, type, from, static_cast<int64_t>(n));
+                   obs::kDeliverOk, type, from, kUnpaired);
   }
   BufferReader reader(data, n);
   recv->HandleMessage(from, type, reader);

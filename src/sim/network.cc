@@ -123,7 +123,7 @@ void Network::InvokeHandler(Node* recv, NodeId from, uint32_t type,
 }
 
 void Network::Deliver(NodeId from, NodeId to, uint32_t type,
-                      std::vector<uint8_t> payload, uint64_t rec) {
+                      std::vector<uint8_t> payload, uint32_t seq) {
   Node* recv = node(to);
   SimEnvironment* recv_env = envs_[static_cast<size_t>(to)];
   // Entering node code: subsequent Schedule/Send key allocations belong to
@@ -156,43 +156,30 @@ void Network::Deliver(NodeId from, NodeId to, uint32_t type,
                                ? obs::kDeliverDroppedPartition
                                : obs::kDeliverDroppedLink;
       shard.flight->Record(recv_env->Now(), to, obs::FlightKind::kMsgDeliver,
-                           why, type, from,
-                           static_cast<int64_t>(payload.size()));
+                           why, type, from, seq);
     }
     if (tap_) {
       tap_(env_->Now(), from, to, type, payload.size(),
            TapEvent::kDroppedAtDelivery);
-    }
-    if (rec != kNoMsgRecord) {
-      tracer_->OnMessageDroppedAtDelivery(rec, env_->Now());
     }
   } else {
     ++shard.stats.messages_delivered;
     if (lc != nullptr) ++lc->delivered;
     if (shard.flight != nullptr) {
       shard.flight->Record(recv_env->Now(), to, obs::FlightKind::kMsgDeliver,
-                           obs::kDeliverOk, type, from,
-                           static_cast<int64_t>(payload.size()));
+                           obs::kDeliverOk, type, from, seq);
     }
     if (tap_) {
       tap_(env_->Now(), from, to, type, payload.size(), TapEvent::kDelivered);
     }
     BufferReader reader(payload);
-    if (rec != kNoMsgRecord) {
-      tracer_->OnMessageDelivered(rec, env_->Now());
-      // Install the sender's context around the handler so spans the
-      // receiver opens parent correctly across the network hop.
-      obs::Tracer::ContextGuard guard(tracer_, tracer_->MessageContext(rec));
-      InvokeHandler(recv, from, type, reader, shard.profiler);
-    } else {
-      InvokeHandler(recv, from, type, reader, shard.profiler);
-    }
+    InvokeHandler(recv, from, type, reader, shard.profiler);
   }
   shard.pool.Release(std::move(payload));
 }
 
 void Network::DispatchDelivery(Node* sender, Node* receiver, uint32_t type,
-                               std::vector<uint8_t> payload, uint64_t rec,
+                               std::vector<uint8_t> payload, uint32_t seq,
                                Duration latency) {
   SimEnvironment* env = envs_[static_cast<size_t>(sender->id())];
   const NodeId from = sender->id();
@@ -201,41 +188,28 @@ void Network::DispatchDelivery(Node* sender, Node* receiver, uint32_t type,
       shard_of_[static_cast<size_t>(to)]) {
     // Same partition (always, for serial clusters): straight onto the
     // sender's event loop. The delivery closure (48 bytes: this + ids +
-    // type + the payload vector) fits SimCallback's inline buffer, and the
-    // payload returns to the pool whether the message is delivered or
-    // dropped in flight. Deliveries go through ScheduleMessage so an
-    // attached schedule oracle may reorder them; with no oracle it is a
-    // plain Schedule.
-    if (rec == kNoMsgRecord) {
-      env->ScheduleMessage(latency, from, to, type,
-                           [this, from, to, type,
-                            payload = std::move(payload)]() mutable {
-                             Deliver(from, to, type, std::move(payload));
-                           });
-    } else {
-      // Traced sends carry the sender's context out-of-band: the record id
-      // rides the (heap-fallback) closure, never the payload bytes, so the
-      // wire format and every RNG draw are identical with tracing off.
-      env->ScheduleMessage(latency, from, to, type,
-                           [this, from, to, type, rec,
-                            payload = std::move(payload)]() mutable {
-                             Deliver(from, to, type, std::move(payload), rec);
-                           });
-    }
+    // type + the send's flight seq + the payload vector) fits SimCallback's
+    // inline buffer, and the payload returns to the pool whether the
+    // message is delivered or dropped in flight. Deliveries go through
+    // ScheduleMessage so an attached schedule oracle may reorder them; with
+    // no oracle it is a plain Schedule.
+    env->ScheduleMessage(latency, from, to, type,
+                         [this, from, to, type, seq,
+                          payload = std::move(payload)]() mutable {
+                           Deliver(from, to, type, std::move(payload), seq);
+                         });
     return;
   }
   // Cross-partition: key the event on the sender's stream *now* (so the key
   // sequence matches the serial run exactly) and hand it to the receiving
   // partition's mailbox; the window barrier guarantees it arrives before
-  // the receiver's clock reaches it. Tracing forces the serial path, so
-  // only the untraced closure shape exists here.
-  SAMYA_CHECK_EQ(rec, kNoMsgRecord);
+  // the receiver's clock reaches it. Same closure shape as above.
   if (latency < 0) latency = 0;
   Event e;
   e.time = env->Now() + latency;
   e.seq = env->AllocKey();
-  e.fn = [this, from, to, type, payload = std::move(payload)]() mutable {
-    Deliver(from, to, type, std::move(payload));
+  e.fn = [this, from, to, type, seq, payload = std::move(payload)]() mutable {
+    Deliver(from, to, type, std::move(payload), seq);
   };
   coord_->EnqueueRemote(shard_of_[static_cast<size_t>(from)],
                         shard_of_[static_cast<size_t>(to)], std::move(e));
@@ -281,17 +255,14 @@ void Network::Send(NodeId from, NodeId to, uint32_t type,
       tap_(env_->Now(), from, to, type, payload.size(),
            TapEvent::kDroppedAtSend);
     }
-    if (tracer_ != nullptr) {
-      tracer_->OnMessageDroppedAtSend(env_->Now(), from, to, type,
-                                      payload.size(), tracer_->current());
-    }
     shard.pool.Release(std::move(payload));
     return;
   }
+  uint32_t seq = 0;
   if (shard.flight != nullptr) {
-    shard.flight->Record(sender_env->Now(), from, obs::FlightKind::kMsgSend,
-                         obs::kSendOk, type, to,
-                         static_cast<int64_t>(payload.size()));
+    seq = shard.flight->Record(sender_env->Now(), from,
+                               obs::FlightKind::kMsgSend, obs::kSendOk, type,
+                               to, static_cast<int64_t>(payload.size()));
   }
   if (tap_) tap_(env_->Now(), from, to, type, payload.size(), TapEvent::kSent);
 
@@ -300,32 +271,23 @@ void Network::Send(NodeId from, NodeId to, uint32_t type,
     // original and may arrive first (duplication implies reordering).
     ++shard.stats.messages_duplicated;
     if (lc != nullptr) ++lc->duplicated;
+    // The copy pairs with its own send event (it fires its own delivery).
+    uint32_t dup_seq = 0;
     if (shard.flight != nullptr) {
-      shard.flight->Record(sender_env->Now(), from,
-                           obs::FlightKind::kMsgSend, obs::kSendDuplicated,
-                           type, to, static_cast<int64_t>(payload.size()));
+      dup_seq = shard.flight->Record(
+          sender_env->Now(), from, obs::FlightKind::kMsgSend,
+          obs::kSendDuplicated, type, to,
+          static_cast<int64_t>(payload.size()));
     }
     std::vector<uint8_t> copy = shard.pool.Acquire();
     copy.assign(payload.begin(), payload.end());
     const Duration dup_latency = ScaledLatency(sender, receiver, send_rng);
-    uint64_t dup_rec = kNoMsgRecord;
-    if (tracer_ != nullptr) {
-      // The duplicate gets its own message record (it fires its own
-      // terminal tap event) carrying the same causal context.
-      dup_rec = tracer_->OnMessageSent(env_->Now(), from, to, type,
-                                       copy.size(), tracer_->current());
-    }
-    DispatchDelivery(sender, receiver, type, std::move(copy), dup_rec,
+    DispatchDelivery(sender, receiver, type, std::move(copy), dup_seq,
                      dup_latency);
   }
 
   const Duration latency = ScaledLatency(sender, receiver, send_rng);
-  uint64_t rec = kNoMsgRecord;
-  if (tracer_ != nullptr) {
-    rec = tracer_->OnMessageSent(env_->Now(), from, to, type, payload.size(),
-                                 tracer_->current());
-  }
-  DispatchDelivery(sender, receiver, type, std::move(payload), rec, latency);
+  DispatchDelivery(sender, receiver, type, std::move(payload), seq, latency);
 }
 
 void Network::Crash(NodeId id) {
@@ -378,15 +340,10 @@ void Network::ClearPartition() {
 uint64_t Network::ArmTimer(Node* n, Duration delay, uint64_t token) {
   uint64_t epoch = 0;
   const uint64_t timer_id = RegisterTimer(*n, &epoch);
-  // The arming context travels into the timer so causality survives
-  // self-scheduled continuations (e.g. Avantan retry timers). The 16-byte
-  // POD context lands the closure at exactly 48 bytes: still inline, still
-  // trivially copyable. The network is reached through the node's runtime
-  // pointer (not a captured `this`) to stay inside that budget.
-  const obs::TraceContext ctx =
-      tracer_ != nullptr ? tracer_->current() : obs::TraceContext{};
+  // The network is reached through the node's runtime pointer (not a
+  // captured `this`), keeping the closure small and trivially copyable.
   envs_[static_cast<size_t>(n->id())]->Schedule(
-      delay, [n, timer_id, token, epoch, ctx]() {
+      delay, [n, timer_id, token, epoch]() {
         // Fire guard shared with the real backend (rt/node.h): dead, stale
         // epoch, or cancelled timers never fire.
         if (!TimerShouldFire(*n, timer_id, epoch)) return;
@@ -395,8 +352,6 @@ uint64_t Network::ArmTimer(Node* n, Duration delay, uint64_t token) {
         // handler belong to the node's causal stream.
         const size_t idx = static_cast<size_t>(n->id());
         net->envs_[idx]->SetCurrentStream(static_cast<uint32_t>(n->id()) + 1);
-        obs::Tracer::ContextGuard guard(ctx.valid() ? net->tracer_ : nullptr,
-                                        ctx);
         obs::EventLoopProfiler* prof =
             net->shards_[net->shard_of_[idx]].profiler;
         if (prof == nullptr) {

@@ -10,7 +10,6 @@
 #include "common/flat_set64.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "rt/node.h"
 #include "sim/environment.h"
 #include "sim/latency_model.h"
@@ -203,23 +202,18 @@ class Network : public rt::Runtime {
   void set_message_tap(MessageTap tap) { tap_ = std::move(tap); }
 
   /// Attaches observability components (DESIGN.md §8); any may be null.
-  ///  - tracer: records every message (out-of-band trace context; payload
-  ///    bytes and RNG draws are untouched) and carries the sender's ambient
-  ///    context to the receiver's handler and into armed timers.
+  ///  - flight: records message send/delivery fates; each delivery carries
+  ///    its send's seq, pairing the two. Shard-local under PDES.
   ///  - metrics: enables per-directed-link `LinkCounters`.
   ///  - profiler: attributes handler wall-time by message type / timer.
-  ///  - flight: records message send/delivery fates (DESIGN.md §13); unlike
-  ///    the tracer it is shard-local and never forces a serial fallback.
-  void set_observability(obs::Tracer* tracer, obs::MetricsRegistry* metrics,
-                         obs::EventLoopProfiler* profiler,
-                         obs::FlightRecorder* flight = nullptr) {
-    tracer_ = tracer;
+  void set_observability(obs::FlightRecorder* flight,
+                         obs::MetricsRegistry* metrics,
+                         obs::EventLoopProfiler* profiler) {
+    shards_[0].flight = flight;
     shards_[0].metrics = metrics;
     shards_[0].profiler = profiler;
-    shards_[0].flight = flight;
   }
 
-  obs::Tracer* tracer() const override { return tracer_; }
   bool has_message_tap() const { return static_cast<bool>(tap_); }
   obs::MetricsRegistry* metrics() const { return shards_[0].metrics; }
   obs::FlightRecorder* flight() const { return shards_[0].flight; }
@@ -312,9 +306,6 @@ class Network : public rt::Runtime {
            static_cast<uint64_t>(static_cast<uint32_t>(to + 1));
   }
 
-  /// No traced message record: sentinel for the untraced delivery path.
-  static constexpr uint64_t kNoMsgRecord = ~uint64_t{0};
-
   /// Per-partition slice of the network's mutable hot state. Cache-line
   /// aligned so concurrent partition windows never false-share. A serial
   /// cluster has exactly one shard.
@@ -333,15 +324,15 @@ class Network : public rt::Runtime {
 
   /// Schedules a delivery closure: locally when sender and receiver share a
   /// partition, through the coordinator's mailboxes otherwise.
+  /// `seq` is the flight recorder's stamp on the send event (0 when the
+  /// recorder is off); it rides the delivery closure into `Deliver`.
   void DispatchDelivery(Node* sender, Node* receiver, uint32_t type,
-                        std::vector<uint8_t> payload, uint64_t rec,
+                        std::vector<uint8_t> payload, uint32_t seq,
                         Duration latency);
 
   /// Delivery-time half of `Send`: runs when a scheduled copy arrives.
-  /// `rec` is the tracer's message record (kNoMsgRecord when untraced).
   void Deliver(NodeId from, NodeId to, uint32_t type,
-               std::vector<uint8_t> payload,
-               uint64_t rec = kNoMsgRecord);
+               std::vector<uint8_t> payload, uint32_t seq);
 
   /// Runs the receiver's handler, timed when the profiler is attached.
   void InvokeHandler(Node* recv, NodeId from, uint32_t type,
@@ -370,7 +361,6 @@ class Network : public rt::Runtime {
   std::vector<NetShard> shards_;    ///< size 1 until EnablePdes
   PdesCoordinator* coord_ = nullptr;
   MessageTap tap_;
-  obs::Tracer* tracer_ = nullptr;
 };
 
 }  // namespace samya::sim

@@ -111,8 +111,8 @@ void PdesCoordinator::Finalize(size_t num_nodes) {
     EnsureSerial("schedule oracle attached: exploration needs the serial loop");
     return;
   }
-  if (net_->tracer() != nullptr || net_->has_message_tap()) {
-    EnsureSerial("a tracer or message tap observes global event order");
+  if (net_->has_message_tap()) {
+    EnsureSerial("a message tap observes global event order");
     return;
   }
   if (envs_.size() < 2) {
@@ -147,7 +147,10 @@ void PdesCoordinator::Finalize(size_t num_nodes) {
 
   const bool want_metrics = net_->metrics() != nullptr;
   const bool want_profiler = primary_->profiler() != nullptr;
-  const bool want_flight = net_->flight() != nullptr;
+  // Partition recorders take the primary's capacity, so a full-run capture
+  // stays complete under PDES too.
+  const size_t flight_capacity =
+      net_->flight() != nullptr ? net_->flight()->capacity() : 0;
   part_metrics_.resize(envs_.size());
   part_profilers_.resize(envs_.size());
   part_flight_.resize(envs_.size());
@@ -164,8 +167,8 @@ void PdesCoordinator::Finalize(size_t num_nodes) {
       profiler = part_profilers_[p].get();
       envs_[p]->set_profiler(profiler);
     }
-    if (want_flight) {
-      part_flight_[p] = std::make_unique<obs::FlightRecorder>();
+    if (flight_capacity > 0) {
+      part_flight_[p] = std::make_unique<obs::FlightRecorder>(flight_capacity);
       flight = part_flight_[p].get();
     }
     net_->set_shard_observability(static_cast<uint32_t>(p), metrics, profiler,
@@ -227,10 +230,10 @@ void PdesCoordinator::RunUntil(SimTime t) {
   SAMYA_CHECK(finalized_);
   if (active()) {
     // Conditions can change between Setup and Run (or between runs): a tap
-    // or tracer attached late, or a delay factor dropped below 1, each
-    // invalidate parallel execution from here on.
-    if (net_->tracer() != nullptr || net_->has_message_tap()) {
-      EnsureSerial("a tracer or message tap observes global event order");
+    // attached late, or a delay factor dropped below 1, each invalidate
+    // parallel execution from here on.
+    if (net_->has_message_tap()) {
+      EnsureSerial("a message tap observes global event order");
     } else if (primary_->oracle() != nullptr) {
       EnsureSerial("schedule oracle attached: exploration needs the serial loop");
     } else if (net_->AnyDelayFactorBelowOne()) {

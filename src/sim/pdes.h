@@ -46,7 +46,7 @@ struct PdesPartitionStats {
   int64_t busy_ns = 0;             ///< wall time executing this partition
 };
 
-/// Whole-run PDES runtime attribution (satellite of DESIGN.md §13): why a
+/// Whole-run PDES runtime attribution (satellite of DESIGN.md §8): why a
 /// flat speedup curve is flat — barrier cost, worker idle share, and which
 /// partition gates the rest. Wall-clock based, so nondeterministic; never
 /// part of any digest. Valid after the run (workers joined).
@@ -83,7 +83,7 @@ struct PdesRunStats {
 ///
 /// When parallel execution cannot be bit-identical — a schedule oracle is
 /// attached, a nemesis shrinks delay factors below 1 (which would shrink
-/// the lookahead mid-run), a message tap or tracer observes global order,
+/// the lookahead mid-run), a message tap observes global order,
 /// or there are not enough partitions — the coordinator falls back to the
 /// serial loop and records why (`fallback_reason`).
 class PdesCoordinator final : public GlobalEventSink {

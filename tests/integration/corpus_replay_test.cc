@@ -14,7 +14,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -34,15 +33,13 @@ struct Corpus {
 constexpr Corpus kCorpora[] = {{CHAOS_CORPUS_DIR, 4},
                                {SCHEDULE_CORPUS_DIR, 5}};
 
-/// Derived artifacts (violation traces, post-mortem bundles) may sit next
-/// to a case after a replay; only bare case files belong to the corpus.
+/// Post-mortem bundles may sit next to a case after a replay; only bare
+/// case files belong to the corpus.
 bool IsDerivedArtifact(const std::filesystem::path& path) {
   const std::string stem = path.stem().string();
-  auto ends_with = [&stem](const char* suffix) {
-    const size_t n = std::strlen(suffix);
-    return stem.size() >= n && stem.compare(stem.size() - n, n, suffix) == 0;
-  };
-  return ends_with("_trace") || ends_with("_postmortem");
+  const std::string suffix = "_postmortem";
+  return stem.size() >= suffix.size() &&
+         stem.compare(stem.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
 std::vector<std::filesystem::path> CorpusFiles(const char* dir) {
@@ -75,7 +72,7 @@ std::string ReadFile(const std::filesystem::path& path) {
 
 /// A replay that disagrees with its recording is exactly what the
 /// post-mortem pipeline exists for: ship the run's flight history next to
-/// the failure output (DESIGN.md §13).
+/// the failure output (DESIGN.md §8).
 void DumpBundle(const std::filesystem::path& case_path,
                 const PostmortemBundle& bundle) {
   const std::string out =

@@ -1,4 +1,4 @@
-// Flight-recorder contract tests (DESIGN.md §13).
+// Flight-recorder contract tests (DESIGN.md §8).
 //
 // The recorder is an always-on-capable pure observer, so the pinned
 // properties are:
@@ -10,19 +10,27 @@
 //  - the bounded ring accounts wraparound exactly (total / dropped /
 //    complete_from) instead of silently losing history;
 //  - a post-mortem bundle round-trips byte-identically through
-//    Write -> Load -> Write, and `DiffPostmortems` finds zero divergence
-//    between identical-seed runs but a first divergent event once a
-//    test-only mutation perturbs the protocol history.
+//    Write -> Load -> Write, hand-edited bad events fail to load, and
+//    `DiffPostmortems` finds zero divergence between identical-seed runs but
+//    a first divergent event once a test-only mutation perturbs the
+//    protocol history;
+//  - the spans and message flights derived from a captured run hold
+//    together: every delivery pairs with its send, cohort engages join a
+//    leader's round, and reactive rounds start where a request waits.
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/testonly_mutation.h"
@@ -91,7 +99,7 @@ RunOut RunOnce(int workers, bool flight) {
   opts.seed = 11;
   opts.pdes_workers = workers;
   opts.fault_schedule = LossDupIsolationSchedule();
-  opts.obs.flight_recorder = flight;
+  opts.obs.flight_capacity = flight ? obs::FlightRecorder::kDefaultCapacity : 0;
   opts.site_template.enable_disconnected_mode = true;
   Experiment experiment(opts);
   experiment.Setup();
@@ -180,6 +188,144 @@ TEST(FlightRecorderTest, MergePreservesStampsAndSeqMonotonicity) {
   EXPECT_GT(after.back().seq, canon[2].seq);
 }
 
+TEST(FlightRecorderTest, MessageTypeNames) {
+  EXPECT_STREQ(obs::MessageTypeName(10), "token_request");
+  EXPECT_STREQ(obs::MessageTypeName(200), "election_get_value");
+  EXPECT_STREQ(obs::MessageTypeName(204), "decision");
+  EXPECT_STREQ(obs::MessageTypeName(122), "raft_append_entries");
+  EXPECT_STREQ(obs::MessageTypeName(9999), "msg");
+}
+
+TEST(FlightViewsTest, DerivesRoundsPhasesWaitsAndFlights) {
+  obs::FlightRecorder rec;
+  using obs::FlightKind;
+  // Site 1 queues request 77 and leads instance 5 in the same handler.
+  rec.Record(100, 1, FlightKind::kRequest, obs::kRequestQueued, 77, 10);
+  rec.Record(100, 1, FlightKind::kPhase, obs::kPhaseEngage, 5, 0);
+  rec.Record(100, 1, FlightKind::kPhase, obs::kPhaseElectionStart, 5, 1);
+  const uint32_t seq = rec.Record(100, 1, FlightKind::kMsgSend, obs::kSendOk,
+                                  200, /*to=*/2, /*bytes=*/4);
+  rec.Record(100, 1, FlightKind::kMsgSend, obs::kSendOk, 200, /*to=*/3, 4);
+  rec.Record(140, 2, FlightKind::kMsgDeliver, obs::kDeliverOk, 200,
+             /*from=*/1, seq);
+  rec.Record(140, 2, FlightKind::kPhase, obs::kPhaseEngage, 5, 0);
+  rec.Record(300, 1, FlightKind::kPhase, obs::kPhaseAcceptStart, 5, 2);
+  rec.Record(500, 1, FlightKind::kPhase, obs::kPhaseDecided, 5, 2);
+  rec.Record(500, 1, FlightKind::kPhase, obs::kPhaseFinish, 5, 0);
+  rec.Record(500, 1, FlightKind::kRequest, obs::kRequestAnswered, 77, 0);
+  // Site 2's engage is still open when the run ends at t=900.
+  const FlightViews v = DeriveFlightViews(rec.Canonical(), /*end=*/900);
+
+  std::map<std::string, std::vector<FlightSpan>> by_name;
+  for (const FlightSpan& s : v.spans) by_name[s.name].push_back(s);
+  ASSERT_EQ(by_name["avantan.round"].size(), 1u);
+  EXPECT_EQ(by_name["avantan.round"][0].site, 1);
+  EXPECT_EQ(by_name["avantan.round"][0].start, 100);
+  EXPECT_EQ(by_name["avantan.round"][0].end, 500);
+  ASSERT_EQ(by_name["avantan.engage"].size(), 1u);
+  EXPECT_EQ(by_name["avantan.engage"][0].site, 2);
+  EXPECT_EQ(by_name["avantan.engage"][0].end, 900);
+  ASSERT_EQ(by_name["election"].size(), 1u);
+  EXPECT_EQ(by_name["election"][0].end, 300);
+  ASSERT_EQ(by_name["accept"].size(), 1u);
+  EXPECT_EQ(by_name["accept"][0].end, 500);
+  ASSERT_EQ(by_name["request.queued"].size(), 1u);
+  EXPECT_EQ(by_name["request.queued"][0].key, 77);
+  EXPECT_EQ(by_name["request.queued"][0].end, 500);
+
+  ASSERT_EQ(v.messages.size(), 2u);
+  EXPECT_EQ(v.messages[0].fate, MessageFate::kDelivered);
+  EXPECT_EQ(v.messages[0].arrived, 140);
+  EXPECT_EQ(v.messages[1].fate, MessageFate::kInFlight);
+
+  const std::string report = RenderFlightViews(v);
+  EXPECT_NE(report.find("(reactive)"), std::string::npos) << report;
+  EXPECT_NE(report.find("in_flight"), std::string::npos) << report;
+  EXPECT_NE(report.find("(1 rounds)"), std::string::npos) << report;
+}
+
+/// A 40 s token-scarce capture: reactive rounds, cohort engages and queued
+/// requests all occur, and the unbounded ring keeps the whole history.
+TEST(FlightViewsTest, CapturedRunPairsMessagesAndJoinsRounds) {
+  ExperimentOptions opts;
+  opts.system = SystemKind::kSamyaMajority;
+  opts.duration = Seconds(40);
+  opts.max_tokens = 500;
+  opts.seed = 7;
+  opts.obs.flight_capacity = obs::FlightRecorder::kUnbounded;
+  Experiment experiment(opts);
+  experiment.Setup();
+  const ExperimentResult r = experiment.Run();
+  ASSERT_NE(r.obs, nullptr);
+  const obs::FlightRecorder& flight = *r.obs->flight();
+  ASSERT_EQ(flight.dropped(), 0u);
+  const std::vector<obs::FlightEvent> evs = flight.Canonical();
+
+  // Every paired delivery names exactly one earlier send of its type.
+  std::map<std::pair<int32_t, uint32_t>, const obs::FlightEvent*> sends;
+  for (const obs::FlightEvent& ev : evs) {
+    if (ev.kind == obs::FlightKind::kMsgSend) sends[{ev.site, ev.seq}] = &ev;
+  }
+  std::set<std::pair<int32_t, uint32_t>> paired;
+  uint64_t delivered = 0;
+  for (const obs::FlightEvent& ev : evs) {
+    if (ev.kind != obs::FlightKind::kMsgDeliver || ev.c < 0) continue;
+    const std::pair<int32_t, uint32_t> key{static_cast<int32_t>(ev.b),
+                                           static_cast<uint32_t>(ev.c)};
+    auto it = sends.find(key);
+    ASSERT_NE(it, sends.end()) << FormatFlightEvent(ev);
+    EXPECT_EQ(it->second->a, ev.a) << FormatFlightEvent(ev);
+    EXPECT_EQ(it->second->b, ev.site) << FormatFlightEvent(ev);
+    EXPECT_GE(ev.at, it->second->at) << FormatFlightEvent(ev);
+    EXPECT_TRUE(paired.insert(key).second) << "send paired twice";
+    if (ev.code == obs::kDeliverOk) ++delivered;
+  }
+  EXPECT_EQ(delivered, r.network.messages_delivered);
+
+  const FlightViews v = DeriveFlightViews(evs, opts.duration);
+  uint64_t delivered_flights = 0;
+  for (const MessageFlight& m : v.messages) {
+    if (m.fate == MessageFate::kDelivered) ++delivered_flights;
+  }
+  EXPECT_EQ(delivered_flights, r.network.messages_delivered);
+
+  // Cohort engages join a leader round of the same instance elsewhere, and
+  // some leader round was triggered by a request waiting at its (site, at).
+  std::multimap<int64_t, int32_t> leaders;  // instance -> leader site
+  for (const FlightSpan& s : v.spans) {
+    if (std::strcmp(s.name, "avantan.round") == 0) {
+      leaders.emplace(s.key, s.site);
+    }
+  }
+  std::set<std::pair<int32_t, SimTime>> waits;
+  for (const obs::FlightEvent& ev : evs) {
+    if (ev.kind == obs::FlightKind::kRequest &&
+        ev.code == obs::kRequestQueued) {
+      waits.emplace(ev.site, ev.at);
+    }
+  }
+  int engages = 0;
+  int reactive = 0;
+  for (const FlightSpan& s : v.spans) {
+    if (std::strcmp(s.name, "avantan.round") == 0) {
+      EXPECT_GE(s.end, s.start);
+      if (waits.count({s.site, s.start}) != 0) ++reactive;
+    }
+    if (std::strcmp(s.name, "avantan.engage") != 0) continue;
+    ++engages;
+    bool joined = false;
+    auto range = leaders.equal_range(s.key);
+    for (auto it = range.first; it != range.second; ++it) {
+      if (it->second != s.site) joined = true;
+    }
+    EXPECT_TRUE(joined) << "engage of instance " << s.key << " at site "
+                        << s.site << " has no leader elsewhere";
+  }
+  EXPECT_GT(leaders.size(), 0u);
+  EXPECT_GT(engages, 0);
+  EXPECT_GT(reactive, 0) << "no round started where a request waits";
+}
+
 class PostmortemRoundTripTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -221,6 +367,45 @@ TEST_F(PostmortemRoundTripTest, WriteLoadRewriteIsByteIdentical) {
   auto events = FlightEventsOf(loaded.value());
   ASSERT_TRUE(events.ok()) << events.status().message();
   EXPECT_EQ(events.value(), r.obs->flight()->Canonical());
+}
+
+TEST_F(PostmortemRoundTripTest, HandEditedBadEventsFailToLoad) {
+  obs::FlightRecorder rec;
+  rec.Record(100, /*site=*/2, obs::FlightKind::kPhase, obs::kPhaseEngage, 7);
+  PostmortemBundle b;
+  b.source = "test";
+  b.flight = rec.ToJson();
+  const std::string path = (dir_ / "good.json").string();
+  ASSERT_TRUE(WritePostmortem(b, path).ok());
+  const std::string good = Slurp(path);
+  auto loaded = LoadPostmortem(path);
+  ASSERT_TRUE(loaded.ok());
+  ASSERT_TRUE(FlightEventsOf(loaded.value()).ok());
+
+  // Each edit replaces one field of the single event.
+  const std::pair<const char*, const char*> edits[] = {
+      {"\"site\": 2", "\"site\": -1"},
+      {"\"site\": 2,", ""},
+      {"\"seq\": 0", "\"seq\": 4294967296"},
+      {"\"code\": 9", "\"code\": 65537"},
+      {"\"at\": 100,", ""},
+      {"\"kind\": \"phase\",", ""},
+      {"\"kind\": \"phase\"", "\"kind\": \"no_such_kind\""},
+      {"\"a\": 7", "\"a\": \"7\""},
+  };
+  for (const auto& [from, to] : edits) {
+    std::string text = good;
+    const size_t at = text.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    text.replace(at, std::strlen(from), to);
+    const std::string bad = (dir_ / "bad.json").string();
+    std::ofstream(bad) << text;
+    auto bundle = LoadPostmortem(bad);
+    ASSERT_TRUE(bundle.ok()) << from << " -> " << to;
+    auto events = FlightEventsOf(bundle.value());
+    ASSERT_FALSE(events.ok()) << from << " -> " << to;
+    EXPECT_EQ(events.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST_F(PostmortemRoundTripTest, IdenticalSeedBundlesDiffClean) {

@@ -1,9 +1,9 @@
-// Tracing must be a pure observer: a run with the full observability stack
-// attached has to produce bit-identical simulation results to the same run
-// with it off. Trace ids come from plain counters and context rides
-// out-of-band (closure captures, never payload bytes), so RNG draw order and
-// event ordering are unchanged — this test is the regression guard for that
-// contract.
+// Observability must be a pure observer: a run with the full stack attached
+// (metrics, profiler, an unbounded flight recorder) has to produce
+// bit-identical simulation results to the same run with it off. Flight seqs
+// come from plain per-site counters and ride the delivery closure, never
+// payload bytes, so RNG draw order and event ordering are unchanged — this
+// test is the regression guard for that contract.
 
 #include <gtest/gtest.h>
 
@@ -27,9 +27,8 @@ Digest RunOnce(SystemKind system, obs::ObsOptions obs_opts) {
   opts.obs = obs_opts;
   Experiment experiment(opts);
   experiment.Setup();
-  // Loss and duplication exercise the traced drop / duplicate-record
-  // branches, which must consume the exact same RNG draws as the untraced
-  // ones.
+  // Loss and duplication exercise the recorded drop / duplicate branches,
+  // which must consume the exact same RNG draws as the unrecorded ones.
   experiment.cluster().net().set_loss_rate(0.02);
   experiment.cluster().net().set_duplicate_rate(0.02);
   const ExperimentResult r = experiment.Run();
@@ -43,19 +42,19 @@ Digest RunOnce(SystemKind system, obs::ObsOptions obs_opts) {
       r.aggregate.latency.count(), r.aggregate.latency.Percentile(99));
 }
 
-TEST(ObsDeterminismTest, TracingOnVsOffIsBitIdentical_Majority) {
+TEST(ObsDeterminismTest, ObsOnVsOffIsBitIdentical_Majority) {
   const Digest off = RunOnce(SystemKind::kSamyaMajority, obs::ObsOptions{});
   const Digest on = RunOnce(SystemKind::kSamyaMajority, obs::ObsOptions::All());
   EXPECT_EQ(off, on);
 }
 
-TEST(ObsDeterminismTest, TracingOnVsOffIsBitIdentical_Any) {
+TEST(ObsDeterminismTest, ObsOnVsOffIsBitIdentical_Any) {
   const Digest off = RunOnce(SystemKind::kSamyaAny, obs::ObsOptions{});
   const Digest on = RunOnce(SystemKind::kSamyaAny, obs::ObsOptions::All());
   EXPECT_EQ(off, on);
 }
 
-TEST(ObsDeterminismTest, TracedRunsAreRepeatable) {
+TEST(ObsDeterminismTest, ObservedRunsAreRepeatable) {
   const Digest a = RunOnce(SystemKind::kSamyaMajority, obs::ObsOptions::All());
   const Digest b = RunOnce(SystemKind::kSamyaMajority, obs::ObsOptions::All());
   EXPECT_EQ(a, b);

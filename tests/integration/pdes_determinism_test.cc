@@ -39,6 +39,8 @@ struct RunOut {
   std::string fallback;
   std::string metrics_json;       ///< "" when metrics are off
   uint64_t profiler_events = 0;   ///< 0 when the profiler is off
+  uint64_t flight_digest = 0;     ///< 0 when the flight recorder is off
+  uint64_t flight_total = 0;
 };
 
 RunOut RunOnce(RunSpec spec) {
@@ -72,6 +74,10 @@ RunOut RunOnce(RunSpec spec) {
   }
   if (r.obs != nullptr && r.obs->profiler() != nullptr) {
     out.profiler_events = r.obs->profiler()->events();
+  }
+  if (r.obs != nullptr && r.obs->flight() != nullptr) {
+    out.flight_digest = r.obs->flight()->Digest();
+    out.flight_total = r.obs->flight()->total();
   }
   return out;
 }
@@ -194,30 +200,28 @@ TEST(PdesDeterminismTest, ParallelRunsAreRepeatable) {
   EXPECT_EQ(a.digest, b.digest);
 }
 
-// Metrics + profiler attached (tracing stays off — it forces serial): the
-// merged per-partition registries must serialize to exactly the serial
-// run's JSON, and the profiler must account exactly the serial event count.
+// Every obs component attached: the merged per-partition registries must
+// serialize to exactly the serial run's JSON, the profiler must account
+// exactly the serial event count, and the merged flight history must equal
+// the serial one.
 TEST(PdesDeterminismTest, ObsMergeMatchesSerial) {
-  obs::ObsOptions obs;
-  obs.metrics = true;
-  obs.profiler = true;
-  const RunOut serial = RunOnce({.workers = 1, .obs = obs});
-  const RunOut par = RunOnce({.workers = 4, .obs = obs});
+  const RunOut serial = RunOnce({.workers = 1, .obs = obs::ObsOptions::All()});
+  const RunOut par = RunOnce({.workers = 4, .obs = obs::ObsOptions::All()});
   EXPECT_TRUE(par.active) << par.fallback;
   EXPECT_EQ(par.digest, serial.digest);
   EXPECT_FALSE(serial.metrics_json.empty());
   EXPECT_EQ(par.metrics_json, serial.metrics_json);
   EXPECT_GT(serial.profiler_events, 0u);
   EXPECT_EQ(par.profiler_events, serial.profiler_events);
+  EXPECT_GT(serial.flight_total, 0u);
+  EXPECT_EQ(par.flight_total, serial.flight_total);
+  EXPECT_EQ(par.flight_digest, serial.flight_digest);
 }
 
 // Observability must stay a pure observer under parallel execution too.
 TEST(PdesDeterminismTest, ObsOnVsOffIsBitIdenticalAtFourWorkers) {
-  obs::ObsOptions obs;
-  obs.metrics = true;
-  obs.profiler = true;
   const RunOut off = RunOnce({.workers = 4});
-  const RunOut on = RunOnce({.workers = 4, .obs = obs});
+  const RunOut on = RunOnce({.workers = 4, .obs = obs::ObsOptions::All()});
   EXPECT_TRUE(off.active) << off.fallback;
   EXPECT_TRUE(on.active) << on.fallback;
   EXPECT_EQ(on.digest, off.digest);

@@ -1,9 +1,10 @@
-// samya_postmortem — render, diff, and export post-mortem bundles.
+// samya_postmortem — capture, render, diff, and export post-mortem bundles.
 //
 // A bundle ("samya-postmortem-v1", written by samya_search or this tool's
-// capture command) is the self-contained record of one violating run: the
-// reproducer case, the violation list, a metrics snapshot, and the
-// flight-recorder tail (DESIGN.md §13).
+// capture command) is the self-contained record of one run: the reproducer
+// case, the violation list, a metrics snapshot, and the flight-recorder
+// history (DESIGN.md §8). Spans, message flights and every table below are
+// derived from that history.
 //
 // Subcommands:
 //   capture --case FILE [--out FILE]
@@ -11,30 +12,39 @@
 //     "format" field) with the flight recorder armed and dumps the bundle
 //     (default: "<case>_postmortem.json"). Works on clean cases too — a
 //     clean bundle is the baseline side of a diff.
+//   capture --out FILE [--system NAME] [--duration-s N] [--sites N]
+//           [--max-tokens N] [--seed N] [--read-ratio X] [--load-scale X]
+//     Runs one experiment with every obs component on (metrics, profiler,
+//     an unbounded flight recorder) and writes its bundle.
 //   report FILE [--last N] [--site S]
-//     Causally-ordered timeline of the flight history (canonical
-//     (at, site, seq) order). --last N keeps the N events up to and
-//     including the first violation marker (end of history when none);
-//     --site S filters to one site's lane.
+//     Span latency by name, the slowest rounds with their phases, message
+//     counts / drops / in-flight / flight time by type, Avantan messages per
+//     leader round (the Table 3 view), then the causally-ordered timeline
+//     (canonical (at, site, seq) order). --last N keeps the N timeline
+//     events up to and including the first violation marker (end of history
+//     when none); --site S filters the timeline to one site's lane.
 //   diff A B
 //     First-divergence comparison of two bundles' protocol histories,
 //     after trimming both to max(complete_from). Exit 0 when identical,
 //     1 at the first divergent event (printed with its index).
 //   export FILE [--out FILE]
-//     Chrome trace-event JSON of the flight history ("<FILE minus
-//     .json>_perfetto.json" by default), loadable in ui.perfetto.dev.
+//     Chrome trace-event JSON ("<FILE minus .json>_perfetto.json" by
+//     default), loadable in ui.perfetto.dev: spans, message flights, and
+//     every other flight event as an instant.
 //
 // Exit status: 0 ok / histories identical, 1 diff divergence, 2 usage or
 // I/O error.
 //
 // Examples:
 //   samya_postmortem capture --case tests/integration/chaos_corpus/x.json
+//   samya_postmortem capture --system samya_any --duration-s 60 --out b.json
 //   samya_postmortem report /tmp/corpus/chaos_..._postmortem.json --last 40
 //   samya_postmortem diff serial_postmortem.json pdes_postmortem.json
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -49,9 +59,42 @@ void Usage() {
   std::fprintf(
       stderr,
       "usage: samya_postmortem capture --case FILE [--out FILE]\n"
+      "       samya_postmortem capture --out FILE [--system NAME]\n"
+      "                        [--duration-s N] [--sites N] [--max-tokens N]\n"
+      "                        [--seed N] [--read-ratio X] [--load-scale X]\n"
       "       samya_postmortem report FILE [--last N] [--site S]\n"
       "       samya_postmortem diff A B\n"
-      "       samya_postmortem export FILE [--out FILE]\n");
+      "       samya_postmortem export FILE [--out FILE]\n"
+      "systems: samya_majority samya_any samya_majority_no_predict\n"
+      "         samya_any_no_predict ...\n");
+}
+
+[[noreturn]] void UsageExit() {
+  Usage();
+  std::exit(2);
+}
+
+/// The whole of `text` as an integer in [lo, hi]; usage + exit 2 otherwise.
+int64_t ParseInt(const char* text, int64_t lo, int64_t hi) {
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(text, &end, 10);
+  if (end == text || *end != '\0' || errno != 0 || v < lo || v > hi) {
+    UsageExit();
+  }
+  return v;
+}
+
+/// The whole of `text` as a finite number in [lo, hi]; usage + exit 2
+/// otherwise.
+double ParseReal(const char* text, double lo, double hi) {
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || errno != 0 || !(v >= lo && v <= hi)) {
+    UsageExit();
+  }
+  return v;
 }
 
 /// "<x>.json" -> "<x><suffix>.json"; appends when FILE has no .json tail.
@@ -74,7 +117,17 @@ int LoadOrDie(const std::string& path, PostmortemBundle* out) {
   return 0;
 }
 
-int RunCapture(const std::string& case_path, std::string out_path) {
+int WriteOrDie(const PostmortemBundle& b, const std::string& out_path) {
+  const Status st = WritePostmortem(b, out_path);
+  if (!st.ok()) {
+    std::fprintf(stderr, "%s\n", st.message().c_str());
+    return 2;
+  }
+  std::printf("wrote %s\n", out_path.c_str());
+  return 0;
+}
+
+int RunCaseCapture(const std::string& case_path, std::string out_path) {
   auto replayed = ReplayCaseFile(case_path, "samya_postmortem");
   if (!replayed.ok()) {
     std::fprintf(stderr, "%s: %s\n", case_path.c_str(),
@@ -86,13 +139,21 @@ int RunCapture(const std::string& case_path, std::string out_path) {
               r.failed_check.empty() ? "clean" : r.failed_check.c_str(),
               r.bundle.violations.size());
   if (out_path.empty()) out_path = DerivedPath(case_path, "_postmortem");
-  const Status st = WritePostmortem(r.bundle, out_path);
-  if (!st.ok()) {
-    std::fprintf(stderr, "%s\n", st.message().c_str());
-    return 2;
-  }
-  std::printf("wrote %s\n", out_path.c_str());
-  return 0;
+  return WriteOrDie(r.bundle, out_path);
+}
+
+int RunExperimentCapture(ExperimentOptions opts, const std::string& out_path) {
+  opts.obs = obs::ObsOptions::All();
+  Experiment experiment(opts);
+  experiment.Setup();
+  const ExperimentResult r = experiment.Run();
+  std::printf("captured: %llu committed, %llu instances, %llu events\n",
+              static_cast<unsigned long long>(r.aggregate.TotalCommitted()),
+              static_cast<unsigned long long>(r.instances_completed),
+              static_cast<unsigned long long>(r.events_executed));
+  return WriteOrDie(
+      MakePostmortem("samya_postmortem", /*failed_check=*/"", JsonValue(), r),
+      out_path);
 }
 
 int RunReport(const std::string& path, int64_t last, int32_t site_filter) {
@@ -123,6 +184,12 @@ int RunReport(const std::string& path, int64_t last, int32_t site_filter) {
     return 0;
   }
   std::vector<obs::FlightEvent> evs = std::move(events.value());
+  const FlightViews views = FlightViewsOf(b, evs);
+  for (const auto& [id, name] : views.nodes) {
+    std::printf("  node %d: %s\n", id, name.c_str());
+  }
+  std::printf("\n%s\n", RenderFlightViews(views).c_str());
+
   if (site_filter >= 0) {
     size_t keep = 0;
     for (const obs::FlightEvent& ev : evs) {
@@ -205,34 +272,64 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string cmd = argv[1];
+  constexpr int64_t kIntMax = std::numeric_limits<int32_t>::max();
   std::vector<std::string> positional;
   std::string case_path;
   std::string out_path;
   int64_t last = 0;
   int32_t site = -1;
+  // Experiment capture defaults to 60 s of the Fig 3b run.
+  ExperimentOptions opts;
+  opts.duration = Seconds(60);
+  bool experiment_flags = false;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        Usage();
-        std::exit(2);
-      }
+      if (i + 1 >= argc) UsageExit();
       return argv[++i];
     };
+    const bool experiment_flag =
+        arg == "--system" || arg == "--duration-s" || arg == "--sites" ||
+        arg == "--max-tokens" || arg == "--seed" || arg == "--read-ratio" ||
+        arg == "--load-scale";
+    if (experiment_flag) {
+      if (cmd != "capture") UsageExit();
+      experiment_flags = true;
+    }
     if (arg == "--case") {
       case_path = next();
     } else if (arg == "--out") {
       out_path = next();
     } else if (arg == "--last") {
-      last = std::atoll(next());
+      last = ParseInt(next(), 0, std::numeric_limits<int64_t>::max());
     } else if (arg == "--site") {
-      site = std::atoi(next());
+      site = static_cast<int32_t>(ParseInt(next(), 0, kIntMax));
+    } else if (arg == "--system") {
+      const std::string name = next();
+      if (!SystemKindFromId(name, &opts.system)) {
+        std::fprintf(stderr, "unknown system: %s\n", name.c_str());
+        return 2;
+      }
+    } else if (arg == "--duration-s") {
+      opts.duration = Seconds(ParseInt(next(), 1, kIntMax));
+    } else if (arg == "--sites") {
+      opts.num_sites = static_cast<int>(ParseInt(next(), 1, 1024));
+    } else if (arg == "--max-tokens") {
+      opts.max_tokens =
+          ParseInt(next(), 0, std::numeric_limits<int64_t>::max());
+    } else if (arg == "--seed") {
+      opts.seed = static_cast<uint64_t>(
+          ParseInt(next(), 0, std::numeric_limits<int64_t>::max()));
+    } else if (arg == "--read-ratio") {
+      opts.read_ratio = ParseReal(next(), 0.0, 1.0);
+    } else if (arg == "--load-scale") {
+      opts.load_scale =
+          ParseReal(next(), 0.0, std::numeric_limits<double>::max());
     } else if (arg == "--help") {
       Usage();
       return 0;
     } else if (!arg.empty() && arg[0] == '-') {
-      Usage();
-      return 2;
+      UsageExit();
     } else {
       positional.push_back(arg);
     }
@@ -242,11 +339,13 @@ int main(int argc, char** argv) {
     if (case_path.empty() && positional.size() == 1) {
       case_path = positional[0];
     }
-    if (case_path.empty()) {
-      Usage();
-      return 2;
+    if (!case_path.empty() && !experiment_flags) {
+      return RunCaseCapture(case_path, out_path);
     }
-    return RunCapture(case_path, out_path);
+    if (case_path.empty() && positional.empty() && !out_path.empty()) {
+      return RunExperimentCapture(opts, out_path);
+    }
+    UsageExit();
   }
   if (cmd == "report" && positional.size() == 1) {
     return RunReport(positional[0], last, site);

@@ -25,7 +25,7 @@
 // A violating chaos or explore run is delta-debugged (ddmin) to a minimal
 // fault schedule / choice trace; with --corpus the reproducer is written as
 // a JSON case named after the configuration that found it, next to its
-// post-mortem bundle (and, for chaos, a Chrome trace).
+// post-mortem bundle (for chaos, with the re-run's full flight history).
 //
 // Usage:
 //   samya_search chaos [--seeds N] [--seed-base N] [--systems a,b]
@@ -68,7 +68,6 @@
 #include "harness/explore.h"
 #include "harness/parallel_runner.h"
 #include "harness/postmortem.h"
-#include "obs/trace_export.h"
 
 using namespace samya;           // NOLINT — tool code
 using namespace samya::harness;  // NOLINT
@@ -270,26 +269,17 @@ ChaosCase Shrink(const ChaosCase& c, int* runs_used) {
   return ShrinkCase(c, AuditOptions(), /*max_runs=*/300, runs_used);
 }
 
-/// Re-runs the minimized case with the causal tracer attached and ships the
-/// Chrome trace plus the post-mortem bundle. Tracing rides out-of-band, so
-/// the re-run replays the identical event sequence the case file pins.
+/// Re-runs the minimized case with an unbounded flight recorder and the
+/// metrics registry, and ships the post-mortem bundle with the run's full
+/// history. Both are pure observers, so the re-run replays the identical
+/// event sequence the case file pins.
 void WriteArtifacts(const ChaosCase& c, const std::string& base) {
   ExperimentOptions opts = MakeChaosOptions(c, AuditOptions());
-  opts.obs.tracing = true;
+  opts.obs.flight_capacity = obs::FlightRecorder::kUnbounded;
   opts.obs.metrics = true;
   Experiment experiment(opts);
   experiment.Setup();
   const ExperimentResult r = experiment.Run();
-  const std::string path = base + "_trace.json";
-  const Status st = obs::WriteChromeTrace(*r.obs->tracer(), path);
-  if (!st.ok()) {
-    std::fprintf(stderr, "cannot write trace: %s\n", st.message().c_str());
-    return;
-  }
-  std::printf("  wrote %s (%zu spans, %zu messages, reproduced %zu "
-              "violation(s))\n",
-              path.c_str(), r.obs->tracer()->spans().size(),
-              r.obs->tracer()->messages().size(), r.violations.size());
   WriteBundle(MakePostmortem("samya_search", c.violation_check, c.ToJson(), r),
               base + "_postmortem.json");
 }
