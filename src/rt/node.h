@@ -50,8 +50,17 @@ class Runtime {
 
   /// Arms a timer firing `HandleTimer(token)` on `node` after `delay`,
   /// unless cancelled or invalidated by a crash/recover epoch bump first.
-  /// Returns the timer id used for cancellation.
+  /// Returns the timer id used for cancellation (never 0).
   virtual uint64_t ArmTimer(Node* node, Duration delay, uint64_t token) = 0;
+
+  /// Called by `Node::CancelTimer` for a timer that was still armed, after
+  /// it left the node's armed set (so the fire guard already rejects it).
+  /// The simulator removes the pending fire event from its queue; the
+  /// default, which the real backend keeps, leaves it to the guard.
+  virtual void DisarmTimer(Node* node, uint64_t timer_id) {
+    (void)node;
+    (void)timer_id;
+  }
 
   // --- Observability attachment points (any may be null) -------------------
   virtual obs::MetricsRegistry* metrics_for(NodeId id) const {
@@ -102,6 +111,10 @@ class Runtime {
   /// Allocates a timer id and registers it as active. Pair with
   /// `TimerShouldFire` at expiry.
   static inline uint64_t RegisterTimer(Node& n, uint64_t* out_epoch);
+
+  /// Registers a backend-chosen, unique, non-zero timer id as active (the
+  /// simulator uses the fire event's queue handle).
+  static inline void RegisterTimerId(Node& n, uint64_t timer_id);
 
   /// The shared fire guard, exactly the simulator's historical sequence:
   /// dead nodes never fire, a crash/recover since arming invalidates, and a
@@ -180,7 +193,13 @@ class Node {
     SAMYA_CHECK(runtime_ != nullptr);
     return runtime_->ArmTimer(this, delay, token);
   }
-  void CancelTimer(uint64_t timer_id) { active_timers_.erase(timer_id); }
+  /// No-op for a timer that already fired, was cancelled, or was
+  /// invalidated by a crash (and for id 0, "never armed").
+  void CancelTimer(uint64_t timer_id) {
+    if (active_timers_.erase(timer_id) != 0) {
+      runtime_->DisarmTimer(this, timer_id);
+    }
+  }
 
   /// Current time on this node's backend clock: simulated microseconds in
   /// the simulator, monotonic microseconds since cluster start on the real
@@ -244,6 +263,10 @@ uint64_t Runtime::RegisterTimer(Node& n, uint64_t* out_epoch) {
   n.active_timers_.insert(timer_id);
   if (out_epoch != nullptr) *out_epoch = n.epoch_;
   return timer_id;
+}
+
+void Runtime::RegisterTimerId(Node& n, uint64_t timer_id) {
+  SAMYA_CHECK(n.active_timers_.insert(timer_id));
 }
 
 bool Runtime::TimerShouldFire(Node& n, uint64_t timer_id,

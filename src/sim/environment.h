@@ -72,7 +72,10 @@ class StreamKeyTable {
 class GlobalEventSink {
  public:
   virtual ~GlobalEventSink() = default;
+  /// Takes a diverted event; its handle is `EventQueue::ForeignHandle(key)`.
   virtual void ScheduleGlobal(SimTime t, uint64_t key, SimCallback&& fn) = 0;
+  /// Cancels a diverted event by that handle (see `SimEnvironment::Cancel`).
+  virtual bool CancelGlobal(uint64_t handle) = 0;
 };
 
 /// \brief Deterministic discrete-event simulation driver.
@@ -96,27 +99,50 @@ class SimEnvironment {
   /// Current simulated time (microseconds since simulation start).
   SimTime Now() const { return now_; }
 
-  /// Schedules `fn` to run `delay` from now. Negative delays clamp to 0
-  /// (the event still runs strictly after the current one). `SimCallback`
-  /// is move-only with inline storage; any callable up to 48 bytes of
-  /// captures is scheduled without a heap allocation.
-  void Schedule(Duration delay, SimCallback&& fn) {
+  /// Schedules `fn` to run `delay` from now and returns its handle for
+  /// `Cancel`. Negative delays clamp to 0 (the event still runs strictly
+  /// after the current one). `SimCallback` is move-only with inline
+  /// storage; any callable up to 48 bytes of captures is scheduled without
+  /// a heap allocation.
+  uint64_t Schedule(Duration delay, SimCallback&& fn) {
     if (delay < 0) delay = 0;
-    ScheduleAt(now_ + delay, std::move(fn));
+    return ScheduleAt(now_ + delay, std::move(fn));
   }
 
   /// Schedules `fn` at absolute simulated time `t` (>= Now()). With a
   /// global sink attached (PDES), driver-stream events divert to the
   /// coordinator's barrier queue; everything else lands in this
   /// environment's own heap.
-  void ScheduleAt(SimTime t, SimCallback&& fn) {
+  uint64_t ScheduleAt(SimTime t, SimCallback&& fn) {
+    return ScheduleAtWithHandle(
+        t, [&fn](uint64_t) -> SimCallback&& { return std::move(fn); });
+  }
+
+  /// `ScheduleAt` for a callback that must know its own handle: `make`
+  /// receives the handle and returns the callable to schedule. Timers use
+  /// this — the handle is the timer id, checked at fire time.
+  template <typename Make>
+  uint64_t ScheduleAtWithHandle(SimTime t, Make&& make) {
     SAMYA_CHECK_GE(t, now_);
     const uint64_t key = streams_->Next(current_stream_);
     if (global_sink_ != nullptr && current_stream_ == 0) {
-      global_sink_->ScheduleGlobal(t, key, std::move(fn));
-      return;
+      const uint64_t handle = EventQueue::ForeignHandle(key);
+      global_sink_->ScheduleGlobal(t, key, make(handle));
+      return handle;
     }
-    queue_.Push(t, key, std::move(fn));
+    const uint64_t handle = queue_.Reserve(key);
+    queue_.PushReserved(handle, t, make(handle));
+    return handle;
+  }
+
+  /// Cancels a pending event: it leaves the queue and is never run, nor
+  /// counted in `events_executed` or `pending_events`. Stale handles
+  /// (already run or cancelled) are no-ops; returns whether an event was
+  /// removed. A diverted driver event is cancelled in the PDES barrier
+  /// queue.
+  bool Cancel(uint64_t handle) {
+    if (queue_.Cancel(handle)) return true;
+    return global_sink_ != nullptr && global_sink_->CancelGlobal(handle);
   }
 
   /// Schedules a message delivery `delay` from now, tagged with its network
@@ -207,9 +233,13 @@ class SimEnvironment {
     }
   }
 
-  /// Bulk-pushes events that already carry keys (mailbox drains, or a
-  /// dismantled global queue on serial fallback).
+  /// Bulk-pushes events that already carry keys (mailbox drains).
   void InjectEvents(std::vector<Event>* evs) { queue_.PushBatch(evs); }
+
+  /// Bulk-pushes events re-homed from other queues (the serial fallback
+  /// folds the barrier and partition queues into the primary). Their
+  /// handles stay cancellable here: the queue finds them by key.
+  void AdoptEvents(std::vector<Event>* evs) { queue_.AdoptBatch(evs); }
 
   /// Drains this queue into `out` in pop order, keys intact (serial
   /// fallback moves partition queues back into the primary environment).

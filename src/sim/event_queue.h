@@ -2,6 +2,7 @@
 #define SAMYA_SIM_EVENT_QUEUE_H_
 
 #include <cstdint>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -44,6 +45,17 @@ struct Event {
 /// path; `Pop` (move the event out) remains for callers that want to hold
 /// the event. Either way a callback is moved exactly twice in its lifetime:
 /// into its slot at `Push`, out of it just before it runs.
+///
+/// Cancellation. `Push` returns the event's *handle*, its packed heap key
+/// `seq << 24 | slot`. `Cancel(handle)` destroys the callback, recycles the
+/// slot at once and leaves a dead key in the heap; a key is dead when its
+/// slot no longer holds that exact key. Dead keys at the top are dropped
+/// immediately, so `NextTime`, `NextSeq`, `empty` and the pops never see
+/// one, and when dead keys outnumber live ones the heap is compacted and
+/// re-heapified. Removing keys does not change the (time, seq) order of
+/// the rest. A handle validates itself: after its event was popped or
+/// cancelled, or its slot was reused, the slot holds a different key and
+/// `Cancel` is a no-op. Slot 0 is never allocated, so no handle is 0.
 class EventQueue {
  public:
   /// Message identity carried per slot when meta tracking is on (schedule
@@ -54,30 +66,119 @@ class EventQueue {
     uint32_t type = 0;
   };
 
+  EventQueue() : slots_(1), slot_keys_(1, 0) {}  // slot 0: never allocated
+
   /// `seq` must be < 2^40 and unique per queue; ties in `time` fire in
-  /// `seq` order.
-  void Push(SimTime time, uint64_t seq, SimCallback&& fn) {
-    const uint32_t slot = PushSlot(time, seq, std::move(fn));
-    if (track_meta_) metas_[slot] = MsgMeta{};  // mark non-message
+  /// `seq` order. Returns the event's handle (see `Cancel`).
+  uint64_t Push(SimTime time, uint64_t seq, SimCallback&& fn) {
+    const uint64_t handle = Reserve(seq);
+    PushReserved(handle, time, std::move(fn));
+    return handle;
   }
 
   /// Push tagged as a message delivery (requires `EnableMetaTracking`); the
   /// schedule oracle may reorder it against other deliveries in its window.
-  void PushMessage(SimTime time, uint64_t seq, SimCallback&& fn,
-                   MsgMeta meta) {
+  uint64_t PushMessage(SimTime time, uint64_t seq, SimCallback&& fn,
+                       MsgMeta meta) {
     SAMYA_CHECK(track_meta_);
-    const uint32_t slot = PushSlot(time, seq, std::move(fn));
-    metas_[slot] = meta;
+    const uint64_t handle = Reserve(seq);
+    PushReserved(handle, time, std::move(fn));
+    metas_[SlotOf(handle)] = meta;
+    return handle;
+  }
+
+  /// First half of a push whose callback must know its own handle (a timer
+  /// checks it against its node's armed set when it fires): allocates the
+  /// slot and returns the handle. `PushReserved` must follow before any
+  /// other push.
+  uint64_t Reserve(uint64_t seq) {
+    SAMYA_CHECK(seq < (1ull << (64 - kSlotBits)));
+    uint32_t slot;
+    if (!free_slots_.empty()) {
+      slot = free_slots_.back();
+      free_slots_.pop_back();
+    } else {
+      slot = static_cast<uint32_t>(slots_.size());
+      SAMYA_CHECK(slot < kSlotMask);  // all-ones marks a foreign handle
+      slots_.emplace_back();
+      slot_keys_.push_back(0);
+      if (track_meta_) metas_.emplace_back();
+    }
+    return (seq << kSlotBits) | slot;
+  }
+
+  /// Second half: parks `fn` in the reserved slot and pushes its key.
+  void PushReserved(uint64_t handle, SimTime time, SimCallback&& fn) {
+    const uint32_t slot = SlotOf(handle);
+    slots_[slot] = std::move(fn);
+    slot_keys_[slot] = handle;
+    if (track_meta_) metas_[slot] = MsgMeta{};  // mark non-message
+    heap_.emplace_back();  // open a hole at the end
+    SiftUp(heap_.size() - 1, Entry{time, handle});
+  }
+
+  /// The handle of an event with key `seq` that lives in no queue's slot
+  /// table under that handle: scheduling code returns it for an event it
+  /// hands elsewhere (the PDES barrier queue), whose queue then `Adopt`s
+  /// the event.
+  static uint64_t ForeignHandle(uint64_t seq) {
+    return (seq << kSlotBits) | kSlotMask;
+  }
+
+  /// Pushes an event whose handle was minted outside this queue: diverted
+  /// to it at scheduling time (`ForeignHandle`), or re-homed from another
+  /// queue (the PDES serial fallback). The slot in such a handle is not the
+  /// event's slot here, so the queue indexes the event by `seq`, which
+  /// travels with it, and `Cancel` falls back to that index.
+  void Adopt(SimTime time, uint64_t seq, SimCallback&& fn) {
+    adopted_[seq] = SlotOf(Push(time, seq, std::move(fn)));
+  }
+
+  /// `Adopt` for a batch (consumed); order is irrelevant, as for
+  /// `PushBatch`.
+  void AdoptBatch(std::vector<Event>* evs) {
+    for (Event& e : *evs) Adopt(e.time, e.seq, std::move(e.fn));
+    evs->clear();
+  }
+
+  /// Removes a pending event by handle: it is never popped, run or counted.
+  /// Returns false, doing nothing, for a stale handle (already popped,
+  /// already cancelled, slot since reused) or one this queue never issued
+  /// or adopted.
+  bool Cancel(uint64_t handle) {
+    uint32_t slot = SlotOf(handle);
+    if (slot >= slot_keys_.size() || slot_keys_[slot] != handle) {
+      if (adopted_.empty()) return false;
+      const auto it = adopted_.find(handle >> kSlotBits);
+      if (it == adopted_.end()) return false;
+      slot = it->second;
+      adopted_.erase(it);
+      if (slot_keys_[slot] != ((handle & ~kSlotMask) | slot)) return false;
+    }
+    slot_keys_[slot] = 0;
+    slots_[slot] = SimCallback();  // release the captures now
+    free_slots_.push_back(slot);
+    ++dead_;
+    DropDeadTop();
+    if (dead_ > heap_.size() / 2) Compact();
+    return true;
   }
 
   /// Turns on per-slot message metadata. Off (the default), `Push` does no
   /// extra work; on, each push writes one 12-byte meta record. Enable before
   /// the first push of a run (the schedule oracle needs every slot tagged).
-  void EnableMetaTracking() { track_meta_ = true; }
+  void EnableMetaTracking() {
+    track_meta_ = true;
+    metas_.resize(slots_.size());
+  }
   bool meta_tracking() const { return track_meta_; }
 
-  bool empty() const { return heap_.empty(); }
-  size_t size() const { return heap_.size(); }
+  bool empty() const { return heap_.empty(); }  // the top is always live
+  /// Live events only; cancelled ones are not counted.
+  size_t size() const { return heap_.size() - dead_; }
+  /// Cancelled keys still in the heap. `Cancel` compacts whenever they
+  /// would outnumber the live ones.
+  size_t dead_keys() const { return dead_; }
 
   SimTime NextTime() const {
     SAMYA_CHECK(!heap_.empty());
@@ -129,11 +230,10 @@ class EventQueue {
   Popped PopEntry() {
     SAMYA_CHECK(!heap_.empty());
     const Entry top = heap_[0];
-    const Entry last = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) SiftDown(0, last);
-    return Popped{top.time, top.key >> kSlotBits,
-                  static_cast<uint32_t>(top.key & kSlotMask)};
+    RemoveTop();
+    slot_keys_[SlotOf(top.key)] = 0;  // popped: its handle is stale now
+    DropDeadTop();
+    return Popped{top.time, top.key >> kSlotBits, SlotOf(top.key)};
   }
 
   /// Second phase: moves the parked callback out, recycles the slot, and
@@ -163,8 +263,8 @@ class EventQueue {
                             std::vector<PendingRef>* out) const {
     SAMYA_CHECK(track_meta_);
     for (const Entry& e : heap_) {
-      if (e.time > horizon) continue;
-      const uint32_t slot = static_cast<uint32_t>(e.key & kSlotMask);
+      if (e.time > horizon || Dead(e)) continue;
+      const uint32_t slot = SlotOf(e.key);
       const MsgMeta& m = metas_[slot];
       if (m.from < 0) continue;
       out->push_back(PendingRef{e.time, e.key >> kSlotBits, e.key, m});
@@ -188,31 +288,15 @@ class EventQueue {
           SiftDown(i, last);
         }
       }
-      return Popped{found.time, found.key >> kSlotBits,
-                    static_cast<uint32_t>(found.key & kSlotMask)};
+      slot_keys_[SlotOf(found.key)] = 0;
+      DropDeadTop();
+      return Popped{found.time, found.key >> kSlotBits, SlotOf(found.key)};
     }
     SAMYA_CHECK(false);  // key not pending — oracle/driver bug
     return Popped{};
   }
 
  private:
-  uint32_t PushSlot(SimTime time, uint64_t seq, SimCallback&& fn) {
-    uint32_t slot;
-    if (!free_slots_.empty()) {
-      slot = free_slots_.back();
-      free_slots_.pop_back();
-      slots_[slot] = std::move(fn);
-    } else {
-      slot = static_cast<uint32_t>(slots_.size());
-      SAMYA_CHECK(slot < (1u << kSlotBits));
-      slots_.push_back(std::move(fn));
-      if (track_meta_) metas_.emplace_back();
-    }
-    SAMYA_CHECK(seq < (1ull << (64 - kSlotBits)));
-    heap_.emplace_back();  // open a hole at the end
-    SiftUp(heap_.size() - 1, Entry{time, (seq << kSlotBits) | slot});
-    return slot;
-  }
   static constexpr size_t kArity = 4;
   static constexpr unsigned kSlotBits = 24;
   static constexpr uint64_t kSlotMask = (1ull << kSlotBits) - 1;
@@ -228,6 +312,42 @@ class EventQueue {
   static bool Before(const Entry& a, const Entry& b) {
     if (a.time != b.time) return a.time < b.time;
     return a.key < b.key;
+  }
+
+  static uint32_t SlotOf(uint64_t key) {
+    return static_cast<uint32_t>(key & kSlotMask);
+  }
+
+  /// A cancelled event's key: its slot was released and holds 0 or a newer
+  /// event's key (seqs are unique, so never this one).
+  bool Dead(const Entry& e) const {
+    return slot_keys_[SlotOf(e.key)] != e.key;
+  }
+
+  void RemoveTop() {
+    const Entry last = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) SiftDown(0, last);
+  }
+
+  /// Restores the invariant that the top key is live.
+  void DropDeadTop() {
+    while (!heap_.empty() && Dead(heap_[0])) {
+      RemoveTop();
+      --dead_;
+    }
+  }
+
+  /// Drops every dead key and re-heapifies bottom-up (Floyd).
+  void Compact() {
+    size_t n = 0;
+    for (const Entry& e : heap_) {
+      if (!Dead(e)) heap_[n++] = e;
+    }
+    heap_.resize(n);
+    dead_ = 0;
+    if (n < 2) return;
+    for (size_t i = (n - 2) / kArity + 1; i-- > 0;) SiftDown(i, heap_[i]);
   }
 
   /// Moves `e` toward the root from the hole at `i`.
@@ -261,7 +381,14 @@ class EventQueue {
 
   std::vector<Entry> heap_;
   std::vector<SimCallback> slots_;
+  /// Parallel to slots_: the key of the pending event parked in the slot,
+  /// 0 once it is popped or cancelled.
+  std::vector<uint64_t> slot_keys_;
   std::vector<uint32_t> free_slots_;
+  size_t dead_ = 0;  ///< cancelled keys still in heap_
+  /// seq -> slot for adopted events (see `Adopt`); entries go stale when
+  /// the event pops, and `Cancel` validates them against slot_keys_.
+  std::unordered_map<uint64_t, uint32_t> adopted_;
   bool track_meta_ = false;
   std::vector<MsgMeta> metas_;  ///< parallel to slots_ when track_meta_
 };

@@ -1,5 +1,7 @@
 #include "sim/network.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 #include "common/macros.h"
 #include "sim/pdes.h"
@@ -338,31 +340,42 @@ void Network::ClearPartition() {
 }
 
 uint64_t Network::ArmTimer(Node* n, Duration delay, uint64_t token) {
-  uint64_t epoch = 0;
-  const uint64_t timer_id = RegisterTimer(*n, &epoch);
-  // The network is reached through the node's runtime pointer (not a
-  // captured `this`), keeping the closure small and trivially copyable.
-  envs_[static_cast<size_t>(n->id())]->Schedule(
-      delay, [n, timer_id, token, epoch]() {
-        // Fire guard shared with the real backend (rt/node.h): dead, stale
-        // epoch, or cancelled timers never fire.
-        if (!TimerShouldFire(*n, timer_id, epoch)) return;
-        Network* net = static_cast<Network*>(runtime_of(*n));
-        // Timer fire is an entry into node code: key allocations inside the
-        // handler belong to the node's causal stream.
-        const size_t idx = static_cast<size_t>(n->id());
-        net->envs_[idx]->SetCurrentStream(static_cast<uint32_t>(n->id()) + 1);
-        obs::EventLoopProfiler* prof =
-            net->shards_[net->shard_of_[idx]].profiler;
-        if (prof == nullptr) {
-          n->HandleTimer(token);
-        } else {
-          const int64_t t0 = obs::EventLoopProfiler::NowNs();
-          n->HandleTimer(token);
-          prof->AccountTimer(obs::EventLoopProfiler::NowNs() - t0);
-        }
+  const uint64_t epoch = Runtime::epoch(*n);
+  SimEnvironment* env = envs_[static_cast<size_t>(n->id())];
+  // The timer id is the fire event's queue handle, so `DisarmTimer` can
+  // remove the event; the closure is built knowing it. The network is
+  // reached through the node's runtime pointer (not a captured `this`),
+  // keeping the closure small and trivially copyable.
+  const uint64_t timer_id = env->ScheduleAtWithHandle(
+      env->Now() + std::max<Duration>(delay, 0),
+      [n, token, epoch](uint64_t id) {
+        return [n, id, token, epoch]() {
+          // Fire guard shared with the real backend (rt/node.h): dead,
+          // stale epoch, or cancelled timers never fire.
+          if (!TimerShouldFire(*n, id, epoch)) return;
+          Network* net = static_cast<Network*>(runtime_of(*n));
+          // Timer fire is an entry into node code: key allocations inside
+          // the handler belong to the node's causal stream.
+          const size_t idx = static_cast<size_t>(n->id());
+          net->envs_[idx]->SetCurrentStream(static_cast<uint32_t>(n->id()) +
+                                            1);
+          obs::EventLoopProfiler* prof =
+              net->shards_[net->shard_of_[idx]].profiler;
+          if (prof == nullptr) {
+            n->HandleTimer(token);
+          } else {
+            const int64_t t0 = obs::EventLoopProfiler::NowNs();
+            n->HandleTimer(token);
+            prof->AccountTimer(obs::EventLoopProfiler::NowNs() - t0);
+          }
+        };
       });
+  RegisterTimerId(*n, timer_id);
   return timer_id;
+}
+
+void Network::DisarmTimer(Node* n, uint64_t timer_id) {
+  envs_[static_cast<size_t>(n->id())]->Cancel(timer_id);
 }
 
 void Network::Send(Node* from, NodeId to, uint32_t type, const uint8_t* data,

@@ -260,6 +260,10 @@ class Network : public rt::Runtime {
   // rt::Runtime timer entry (Node::SetTimer): arms on the node's event loop.
   uint64_t ArmTimer(Node* node, Duration delay, uint64_t token) override;
 
+  // rt::Runtime cancel hook (Node::CancelTimer): the fire event leaves the
+  // node's queue, so it is never popped or counted.
+  void DisarmTimer(Node* node, uint64_t timer_id) override;
+
   // --- PDES wiring (sim/pdes.h) ---------------------------------------------
 
   /// Splits hot state into `num_partitions` shards and routes cross-

@@ -55,7 +55,15 @@ std::pair<SimEnvironment*, uint32_t> PdesCoordinator::PartitionFor(
 
 void PdesCoordinator::ScheduleGlobal(SimTime t, uint64_t key,
                                      SimCallback&& fn) {
-  global_queue_.Push(t, key, std::move(fn));
+  // The scheduler returned `EventQueue::ForeignHandle(key)`; adopting keeps
+  // that handle cancellable here.
+  global_queue_.Adopt(t, key, std::move(fn));
+}
+
+bool PdesCoordinator::CancelGlobal(uint64_t handle) {
+  // A node may cancel a driver-armed timer from any worker mid-phase.
+  std::lock_guard<std::mutex> lock(global_cancel_mu_);
+  return global_queue_.Cancel(handle);
 }
 
 void PdesCoordinator::EnqueueRemote(uint32_t src, uint32_t dst, Event&& e) {
@@ -72,7 +80,11 @@ void PdesCoordinator::EnsureSerial(std::string reason) {
   primary_->set_global_sink(nullptr);
   for (auto& env : extra_envs_) env->set_global_sink(nullptr);
   // Move every diverted driver event back onto the primary loop; the keys
-  // travel with the events, so ordering is untouched.
+  // travel with the events, so ordering is untouched. Extraction moves live
+  // events only. Moved events get new slots, so the timer handles nodes
+  // hold are stale here; adopting indexes each event by its key, so a later
+  // cancel still removes it and `events_executed` matches a run that was
+  // serial throughout.
   std::vector<Event> pending;
   global_queue_.ExtractUntil(kMaxSimTime, &pending);
   if (finalized_) {
@@ -94,7 +106,7 @@ void PdesCoordinator::EnsureSerial(std::string reason) {
       }
     }
   }
-  primary_->InjectEvents(&pending);
+  primary_->AdoptEvents(&pending);
   if (net_ != nullptr) net_->ForceSerial();
 }
 

@@ -104,6 +104,7 @@ class PdesCoordinator final : public GlobalEventSink {
   /// GlobalEventSink: a driver-stream (stream-0) event diverted from a
   /// partition queue to the barrier queue.
   void ScheduleGlobal(SimTime t, uint64_t key, SimCallback&& fn) override;
+  bool CancelGlobal(uint64_t handle) override;
 
   /// Locks the partition layout, computes the window from the latency
   /// model, splits network state into shards, and creates per-partition
@@ -206,6 +207,7 @@ class PdesCoordinator final : public GlobalEventSink {
   PdesRunStats run_stats_;
 
   EventQueue global_queue_;  ///< diverted stream-0 events, (time, key) order
+  std::mutex global_cancel_mu_;  ///< serializes worker-side CancelGlobal
 
   Duration window_ = 0;
   int64_t lead_ = 2;

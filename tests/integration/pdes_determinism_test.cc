@@ -12,6 +12,7 @@
 
 #include "common/json.h"
 #include "harness/experiment.h"
+#include "sim/cluster.h"
 #include "sim/nemesis.h"
 #include "sim/schedule_oracle.h"
 
@@ -256,6 +257,99 @@ TEST(PdesDeterminismTest, LatencyShrinkingScheduleForcesSerial) {
   EXPECT_NE(par.fallback.find("lookahead"), std::string::npos)
       << par.fallback;
   EXPECT_EQ(par.digest, serial.digest);
+}
+
+/// Arms a long timer from its own Start (so the fire event sits in its
+/// partition's queue) and keeps a short heartbeat going.
+class CancelProbe : public sim::Node {
+ public:
+  CancelProbe(sim::NodeId id, sim::Region region) : sim::Node(id, region) {}
+
+  void Start() override {
+    long_timer_ = SetTimer(Seconds(10), kLong);
+    SetTimer(Millis(100), kBeat);
+  }
+  void HandleMessage(sim::NodeId, uint32_t, BufferReader&) override {}
+  void HandleTimer(uint64_t token) override {
+    fired_.push_back(token);
+    if (token == kBeat) SetTimer(Millis(100), kBeat);
+  }
+
+  /// Arms a timer from the calling context (driver code in the test: under
+  /// PDES the event diverts to the barrier queue).
+  uint64_t ArmFromDriver(Duration delay, uint64_t token) {
+    return SetTimer(delay, token);
+  }
+  void Cancel(uint64_t timer_id) { CancelTimer(timer_id); }
+  uint64_t long_timer() const { return long_timer_; }
+  const std::vector<uint64_t>& fired() const { return fired_; }
+
+  static constexpr uint64_t kBeat = 1;
+  static constexpr uint64_t kLong = 2;
+  static constexpr uint64_t kDriverEarly = 3;
+  static constexpr uint64_t kDriverLate = 4;
+
+ private:
+  uint64_t long_timer_ = 0;
+  std::vector<uint64_t> fired_;
+};
+
+struct CancelRunOut {
+  bool active_before_fallback = false;
+  bool active_after_fallback = false;
+  std::vector<uint64_t> fired_a, fired_b;
+  uint64_t events_executed = 0;
+};
+
+/// Timers armed on partitions and on the barrier queue, then the serial
+/// fallback between runs re-homes every pending event into the primary
+/// queue, then the timers are cancelled.
+CancelRunOut RunCancelAcrossFallback(int workers) {
+  sim::Cluster cluster(3, sim::LatencyModel(), sim::PdesOptions{workers});
+  auto* a = cluster.AddNode<CancelProbe>(sim::kPaperRegions[0]);
+  auto* b = cluster.AddNode<CancelProbe>(sim::kPaperRegions[2]);
+  cluster.StartAll();
+  const uint64_t early = a->ArmFromDriver(Seconds(5), CancelProbe::kDriverEarly);
+  const uint64_t late = b->ArmFromDriver(Seconds(6), CancelProbe::kDriverLate);
+  cluster.RunUntil(Seconds(1));
+  CancelRunOut out;
+  out.active_before_fallback = cluster.pdes_active();
+  a->Cancel(early);  // still in the barrier queue under PDES
+  // A message tap observes global event order, so the next RunUntil folds
+  // every partition queue into the primary one and runs serial.
+  cluster.net().set_message_tap(
+      [](SimTime, sim::NodeId, sim::NodeId, uint32_t, size_t, sim::TapEvent) {
+      });
+  cluster.RunUntil(Seconds(2));
+  out.active_after_fallback = cluster.pdes_active();
+  a->Cancel(a->long_timer());
+  b->Cancel(b->long_timer());
+  b->Cancel(late);
+  cluster.RunUntil(Seconds(15));
+  out.fired_a = a->fired();
+  out.fired_b = b->fired();
+  out.events_executed = cluster.TotalEventsExecuted();
+  return out;
+}
+
+// Cancelled timers leave their queue even when the serial fallback moved
+// them to another one: they never fire, and the event count equals the run
+// that was serial throughout (a re-homed timer is not a dead pop).
+TEST(PdesDeterminismTest, CancelAfterSerialFallbackMatchesSerial) {
+  const CancelRunOut serial = RunCancelAcrossFallback(1);
+  // 150 heartbeats per node in 15 s; nothing else ever fires.
+  EXPECT_EQ(serial.fired_a, std::vector<uint64_t>(150, CancelProbe::kBeat));
+  EXPECT_EQ(serial.fired_b, serial.fired_a);
+  EXPECT_EQ(serial.events_executed, 300u);
+  for (int workers : {2, 4}) {
+    const CancelRunOut par = RunCancelAcrossFallback(workers);
+    EXPECT_TRUE(par.active_before_fallback) << "workers=" << workers;
+    EXPECT_FALSE(par.active_after_fallback) << "workers=" << workers;
+    EXPECT_EQ(par.fired_a, serial.fired_a) << "workers=" << workers;
+    EXPECT_EQ(par.fired_b, serial.fired_b) << "workers=" << workers;
+    EXPECT_EQ(par.events_executed, serial.events_executed)
+        << "workers=" << workers;
+  }
 }
 
 }  // namespace

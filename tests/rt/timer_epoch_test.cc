@@ -29,6 +29,7 @@ class TimerProbe : public Node {
     ids_[token] = SetTimer(delay, token);
   }
   void Cancel(uint64_t token) { CancelTimer(ids_[token]); }
+  uint64_t timer_id(uint64_t token) { return ids_[token]; }
   const std::vector<uint64_t>& fired() const { return fired_; }
 
  private:
@@ -41,24 +42,44 @@ TEST(TimerEpochTest, SimCancelAndCrashGuards) {
   auto* probe = cluster.AddNode<TimerProbe>(sim::kPaperRegions[0]);
   cluster.StartAll();
 
-  // Cancel wins over a pending fire.
+  // Cancel wins over a pending fire, and the fire event leaves the queue:
+  // it is never popped, so it is not counted as an executed event.
   probe->Arm(Millis(50), 1);
+  EXPECT_EQ(cluster.env().pending_events(), 1u);
   probe->Cancel(1);
+  EXPECT_EQ(cluster.env().pending_events(), 0u);
   cluster.RunUntil(Millis(200));
   EXPECT_TRUE(probe->fired().empty());
+  EXPECT_EQ(cluster.env().events_executed(), 0u);
 
   // A timer armed before a crash is a straggler: its fire event still sits
   // in the queue after recovery, but the epoch guard must swallow it.
+  // Cancelling it after the crash is a no-op (the crash already disarmed
+  // it); the event still pops, dead, through the guard.
   probe->Arm(Millis(50), 2);
   cluster.net().Crash(probe->id());
   cluster.net().Recover(probe->id());
+  probe->Cancel(2);
+  EXPECT_EQ(cluster.env().pending_events(), 1u);
   cluster.RunUntil(Millis(400));
   EXPECT_TRUE(probe->fired().empty());
+  EXPECT_EQ(cluster.env().events_executed(), 1u);
 
   // A fresh timer armed after recovery fires normally.
   probe->Arm(Millis(50), 3);
   cluster.RunUntil(Millis(600));
   EXPECT_EQ(probe->fired(), std::vector<uint64_t>({3}));
+
+  // Cancelling an id that already fired is a no-op, and must not kill the
+  // newer timer that reuses its fire event's queue slot.
+  probe->Arm(Millis(50), 4);
+  // Same slot: the low 24 bits of the handle.
+  EXPECT_EQ(probe->timer_id(4) & 0xffffff, probe->timer_id(3) & 0xffffff);
+  probe->Cancel(3);
+  EXPECT_EQ(cluster.env().pending_events(), 1u);
+  cluster.RunUntil(Millis(800));
+  EXPECT_EQ(probe->fired(), std::vector<uint64_t>({3, 4}));
+  EXPECT_EQ(cluster.env().events_executed(), 3u);
 }
 
 TEST(TimerEpochTest, RealCancelAndCrashGuards) {

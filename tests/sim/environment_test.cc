@@ -73,6 +73,40 @@ TEST(SimEnvironmentTest, CountsEvents) {
   EXPECT_EQ(env.pending_events(), 0u);
 }
 
+// A cancelled event leaves the queue: it never runs, never moves the clock,
+// and is counted in neither `events_executed` nor `pending_events`.
+TEST(SimEnvironmentTest, CancelledEventsAreNeitherRunNorCounted) {
+  SimEnvironment env(1);
+  int fired = 0;
+  const uint64_t first = env.Schedule(Millis(10), [&] { ++fired; });
+  env.Schedule(Millis(20), [&] { ++fired; });
+  const uint64_t last = env.Schedule(Millis(30), [&] { ++fired; });
+  EXPECT_EQ(env.pending_events(), 3u);
+  EXPECT_TRUE(env.Cancel(first));
+  EXPECT_TRUE(env.Cancel(last));
+  EXPECT_FALSE(env.Cancel(first));
+  EXPECT_EQ(env.pending_events(), 1u);
+  env.RunUntilIdle();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(env.events_executed(), 1u);
+  EXPECT_EQ(env.pending_events(), 0u);
+  EXPECT_EQ(env.Now(), Millis(20));
+}
+
+// A callback scheduled through ScheduleAtWithHandle is built knowing the
+// handle the call returns, and can cancel a sibling by it.
+TEST(SimEnvironmentTest, ScheduleAtWithHandleHandsTheCallbackItsHandle) {
+  SimEnvironment env(1);
+  uint64_t seen = 0;
+  const uint64_t handle = env.ScheduleAtWithHandle(
+      Millis(5), [&seen](uint64_t h) { return [&seen, h] { seen = h; }; });
+  const uint64_t victim = env.Schedule(Millis(9), [] { ADD_FAILURE(); });
+  env.Schedule(Millis(7), [&] { EXPECT_TRUE(env.Cancel(victim)); });
+  env.RunUntilIdle();
+  EXPECT_EQ(seen, handle);
+  EXPECT_EQ(env.events_executed(), 2u);
+}
+
 TEST(SimEnvironmentTest, RunForAdvancesRelative) {
   SimEnvironment env(1);
   env.RunFor(Seconds(3));
