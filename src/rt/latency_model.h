@@ -39,10 +39,10 @@ inline constexpr std::array<Region, 5> kPaperRegions = {
 /// and p99 columns of Table 2b.
 ///
 /// Shared by both runtime backends: the simulator draws delivery delays from
-/// it directly, and the real backend's in-process netem layer holds outbound
-/// datagrams for the same sampled duration before handing them to the socket
-/// — which is what makes sim-predicted and real-measured latency comparable
-/// on one box (EXPERIMENTS.md).
+/// it directly, and the real backend's in-process netem layer holds each
+/// datagram at its receiver for the same sampled duration before delivering
+/// it — which is what makes sim-predicted and real-measured latency
+/// comparable on one box (EXPERIMENTS.md).
 class LatencyModel {
  public:
   LatencyModel();

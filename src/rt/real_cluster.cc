@@ -28,9 +28,21 @@ constexpr size_t kMaxDatagram = 64 * 1024;
 /// A loop's next deadline when it has no timer and no held datagram.
 constexpr SimTime kNoDeadline = std::numeric_limits<SimTime>::max();
 
+/// Longest a datagram is held: far past any latency the model draws, and
+/// short enough that a deadline stays representable in ns.
+constexpr Duration kMaxHold = Seconds(3600);
+
 /// Wire frames carry no flight seq, so a delivery event cannot name the
 /// send event it pairs with (kMsgDeliver's `c`).
 constexpr int64_t kUnpaired = -1;
+
+/// Whole µs on the steady clock, which is `CLOCK_MONOTONIC` on Linux: the
+/// machine-wide timebase of a frame's `due_us`.
+SimTime MonotonicUs() {
+  return std::chrono::duration_cast<std::chrono::microseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
 
 sockaddr_in LoopbackAddr(uint16_t port) {
   sockaddr_in addr{};
@@ -111,15 +123,15 @@ void RealCluster::Start() {
                               &len) == 0);
     loop->port = ntohs(addr.sin_port);
     ports_[i] = loop->port;
-    // Latency injection holds bursts in the outbox, then releases them
-    // together; widen the kernel buffers so those bursts don't shed.
+    // A burst of sends can land before the receiver's loop drains; widen the
+    // kernel buffers so those bursts don't shed.
     const int buf = 4 * 1024 * 1024;
     ::setsockopt(loop->fd, SOL_SOCKET, SO_RCVBUF, &buf, sizeof(buf));
     ::setsockopt(loop->fd, SOL_SOCKET, SO_SNDBUF, &buf, sizeof(buf));
     loop->wake_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
     SAMYA_CHECK_MSG(loop->wake_fd >= 0, "eventfd() failed");
   }
-  epoch_ = std::chrono::steady_clock::now();
+  epoch_mono_us_ = MonotonicUs();
   // Queue each node's Start() before its loop exists: the first tick runs
   // it, and no Post has to wake a sleeping thread.
   for (size_t i = 0; i < loops_.size(); ++i) {
@@ -152,11 +164,7 @@ void RealCluster::Shutdown() {
   }
 }
 
-SimTime RealCluster::NowUs() const {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now() - epoch_)
-      .count();
-}
+SimTime RealCluster::NowUs() const { return MonotonicUs() - epoch_mono_us_; }
 
 void RealCluster::RunFor(Duration d) {
   std::this_thread::sleep_for(std::chrono::microseconds(d));
@@ -247,27 +255,36 @@ void RealCluster::Send(Node* from, NodeId to, uint32_t type,
                    obs::kSendOk, type, to, static_cast<int64_t>(n));
   }
 
-  Node* receiver = node(to);
-  auto enqueue = [&](Duration latency) {
-    DelayedSend ds;
-    ds.due = loop->now_us +
-             static_cast<SimTime>(static_cast<double>(latency) *
-                                  config_.delay_factor);
-    ds.seq = loop->send_seq++;
-    ds.to = to;
-    EncodeFrame(from->id(), to, type, data, n, &ds.frame);
-    SAMYA_CHECK_MSG(ds.frame.size() <= kMaxDatagram, "oversized frame");
-    loop->outbox.push(std::move(ds));
+  // Netem runs at the receiver: the frame carries its due instant, and the
+  // receiving loop holds it until then (DeliverDue). Sending to the
+  // receiver's port from this thread is safe — each fd is bound once and
+  // sendto is atomic per datagram.
+  const sockaddr_in to_addr = LoopbackAddr(ports_[static_cast<size_t>(to)]);
+  auto send_copy = [&](Duration latency) {
+    const SimTime due =
+        loop->now_us + static_cast<SimTime>(static_cast<double>(latency) *
+                                            config_.delay_factor);
+    EncodeFrame(from->id(), to, type,
+                static_cast<uint64_t>(epoch_mono_us_ + due), data, n,
+                &loop->encode_scratch);
+    SAMYA_CHECK_MSG(loop->encode_scratch.size() <= kMaxDatagram,
+                    "oversized frame");
+    // EWOULDBLOCK (full kernel buffer) is UDP loss; the backend contract
+    // already includes it.
+    (void)::sendto(loop->fd, loop->encode_scratch.data(),
+                   loop->encode_scratch.size(), 0,
+                   reinterpret_cast<const sockaddr*>(&to_addr),
+                   sizeof(to_addr));
   };
 
+  const Region from_region = from->region();
+  const Region to_region = node(to)->region();
   if (config_.duplicate_rate > 0 &&
       loop->send_rng.Bernoulli(config_.duplicate_rate)) {
     ++loop->stats.messages_duplicated;
-    enqueue(config_.model.Sample(from->region(), receiver->region(),
-                                 loop->send_rng));
+    send_copy(config_.model.Sample(from_region, to_region, loop->send_rng));
   }
-  enqueue(config_.model.Sample(from->region(), receiver->region(),
-                               loop->send_rng));
+  send_copy(config_.model.Sample(from_region, to_region, loop->send_rng));
 }
 
 uint64_t RealCluster::ArmTimer(Node* n, Duration delay, uint64_t token) {
@@ -283,20 +300,21 @@ uint64_t RealCluster::ArmTimer(Node* n, Duration delay, uint64_t token) {
 void RealCluster::LoopMain(Loop* loop) {
   while (!loop->stop.load(std::memory_order_acquire)) {
     LoopTick(loop);
-    // Sleep until the next deadline this loop owns, or indefinitely when it
-    // owns none; a datagram or a Wake (Post, Shutdown) ends the sleep early.
+    // Sleep until the next timer or held due instant, or indefinitely when
+    // there is neither; a datagram or a Wake (Post, Shutdown) ends the sleep
+    // early.
     SimTime next = kNoDeadline;
     if (!loop->timers.empty()) next = loop->timers.top().due;
-    if (!loop->outbox.empty()) next = std::min(next, loop->outbox.top().due);
+    if (!loop->inbox.empty()) next = std::min(next, loop->inbox.front().due);
     timespec timeout{};
     const bool has_deadline = next != kNoDeadline;
     if (has_deadline) {
-      // Deadlines are whole µs since epoch_: once this wait has elapsed,
+      // Deadlines are whole µs since Start: once this wait has elapsed,
       // NowUs() >= next and the deadline is due on the next tick.
       const auto wait = std::max<std::chrono::nanoseconds>(
           std::chrono::nanoseconds::zero(),
-          epoch_ + std::chrono::microseconds(next) -
-              std::chrono::steady_clock::now());
+          std::chrono::microseconds(epoch_mono_us_ + next) -
+              std::chrono::steady_clock::now().time_since_epoch());
       timeout.tv_sec = static_cast<time_t>(wait.count() / 1000000000);
       timeout.tv_nsec = static_cast<long>(wait.count() % 1000000000);
     }
@@ -330,6 +348,9 @@ void RealCluster::LoopTick(Loop* loop) {
     loop->ctl_done.notify_all();
   }
 
+  DrainSocket(loop);
+  loop->now_us = NowUs();
+
   // Due timers, in deadline order, each through the shared epoch guard.
   while (!loop->timers.empty() && loop->timers.top().due <= loop->now_us) {
     const TimerEntry t = loop->timers.top();
@@ -339,20 +360,7 @@ void RealCluster::LoopTick(Loop* loop) {
     loop->now_us = NowUs();
   }
 
-  // Netem release: datagrams whose injected latency has elapsed hit the
-  // socket now. Sending to the receiver's port from this thread is safe —
-  // each fd is bound once and sendto is atomic per datagram.
-  while (!loop->outbox.empty() && loop->outbox.top().due <= loop->now_us) {
-    const DelayedSend& ds = loop->outbox.top();
-    sockaddr_in to_addr = LoopbackAddr(ports_[static_cast<size_t>(ds.to)]);
-    // EWOULDBLOCK (full kernel buffer) is UDP loss; the backend contract
-    // already includes it.
-    (void)::sendto(loop->fd, ds.frame.data(), ds.frame.size(), 0,
-                   reinterpret_cast<sockaddr*>(&to_addr), sizeof(to_addr));
-    loop->outbox.pop();
-  }
-
-  DrainSocket(loop);
+  DeliverDue(loop);
 }
 
 void RealCluster::DrainSocket(Loop* loop) {
@@ -360,7 +368,6 @@ void RealCluster::DrainSocket(Loop* loop) {
   for (;;) {
     const ssize_t got = ::recv(loop->fd, buf, sizeof(buf), 0);
     if (got < 0) return;  // EWOULDBLOCK or transient error: nothing to read
-    loop->now_us = NowUs();
     WireFrame frame;
     const WireError err = DecodeFrame(buf, static_cast<size_t>(got), &frame);
     if (err != WireError::kOk) {
@@ -374,7 +381,36 @@ void RealCluster::DrainSocket(Loop* loop) {
       ++loop->stats.frames_rejected;  // misrouted: stale port reuse
       continue;
     }
-    Dispatch(loop, frame.from, frame.type, frame.payload, frame.payload_len);
+    HeldDatagram held;
+    // `due_us` is outside input: clamp it to [Start, now + kMaxHold] in
+    // unsigned arithmetic before it meets a signed clock value.
+    const uint64_t start = static_cast<uint64_t>(epoch_mono_us_);
+    const uint64_t since_start =
+        frame.due_us > start ? frame.due_us - start : 0;
+    held.due = static_cast<SimTime>(std::min<uint64_t>(
+        since_start, static_cast<uint64_t>(loop->now_us + kMaxHold)));
+    held.seq = loop->arrival_seq++;
+    held.from = frame.from;
+    held.type = frame.type;
+    held.payload.assign(frame.payload, frame.payload + frame.payload_len);
+    loop->inbox.push_back(std::move(held));
+    std::push_heap(loop->inbox.begin(), loop->inbox.end(),
+                   std::greater<HeldDatagram>());
+  }
+}
+
+void RealCluster::DeliverDue(Loop* loop) {
+  // Everything due within the window goes out in this wakeup, in (due,
+  // arrival) order; the window bounds how early any delivery runs.
+  while (!loop->inbox.empty() &&
+         loop->inbox.front().due <= loop->now_us + kDeliveryWindow) {
+    std::pop_heap(loop->inbox.begin(), loop->inbox.end(),
+                  std::greater<HeldDatagram>());
+    const HeldDatagram held = std::move(loop->inbox.back());
+    loop->inbox.pop_back();
+    Dispatch(loop, held.from, held.type, held.payload.data(),
+             held.payload.size());
+    loop->now_us = NowUs();
   }
 }
 

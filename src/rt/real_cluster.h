@@ -25,10 +25,11 @@ namespace samya::rt {
 
 /// In-process netem: the shaping every datagram goes through on the real
 /// backend. Latency and jitter come from the same `LatencyModel` the
-/// simulator samples (the paper's 5-region RTT matrix by default), applied
-/// on the sender's loop before the datagram hits the socket, so localhost
-/// UDP behaves like the modelled WAN. Loss and duplication are Bernoulli
-/// per message, exactly the simulator's semantics.
+/// simulator samples (the paper's 5-region RTT matrix by default). The
+/// sender draws them and stamps the due instant in the frame; the datagram
+/// hits the socket at once, and the receiver's loop holds it until due, so
+/// localhost UDP behaves like the modelled WAN. Loss and duplication are
+/// Bernoulli per message, exactly the simulator's semantics.
 struct NetemConfig {
   LatencyModel model;
   double delay_factor = 1.0;
@@ -53,6 +54,13 @@ struct RealNetStats {
   uint64_t frames_rejected = 0;
 };
 
+/// How far ahead of its due instant a held datagram may be delivered. A loop
+/// woken for one due datagram delivers every other held one due within this
+/// window in the same wakeup, instead of sleeping again for each: one wake
+/// serves a burst, at a bounded cost in fidelity (no delivery is earlier
+/// than its drawn latency minus this).
+inline constexpr Duration kDeliveryWindow = 100;
+
 /// \brief The real-thread/socket backend of the `Runtime` seam
 /// (DESIGN.md §14): one event-loop thread per node, UDP datagrams over
 /// localhost, monotonic clocks, and an in-process netem latency injector.
@@ -63,18 +71,26 @@ struct RealNetStats {
 /// via `Runtime::TimerShouldFire`, and every datagram is CRC-framed so a
 /// torn or stale packet is rejected whole.
 ///
+/// Netem runs at the receiver: `Send` draws loss, duplication and latency,
+/// stamps the due instant in the frame and sends it at once; the receiving
+/// loop validates each datagram on arrival and holds its payload in a
+/// min-heap on (due, arrival order) until due. Whether the receiver is alive
+/// is checked at delivery, as in the simulator.
+///
 /// Backend contract (vs. the simulator — see DESIGN.md §14 for the table):
-/// delivery order between two nodes is OS UDP order (almost always FIFO on
-/// loopback, not guaranteed); the kernel may drop under socket-buffer
-/// pressure even with `loss_rate == 0`; wall-clock latency adds scheduling
-/// noise on top of the injected model. Protocol code already tolerates all
-/// of this (§3.1's asynchronous network).
+/// delivery order at a receiver is latency-model order (due instant, ties in
+/// arrival order), as in the simulator, but a delivery may run up to
+/// `kDeliveryWindow` early; the kernel may drop under socket-buffer pressure
+/// even with `loss_rate == 0`; wall-clock latency adds scheduling noise on
+/// top of the injected model. Protocol code already tolerates all of this
+/// (§3.1's asynchronous network).
 ///
 /// Wakeups: each loop sleeps in `ppoll` on its socket and a per-loop
-/// eventfd, until exactly its next timer or netem-release deadline, or
-/// indefinitely when it has none; it never polls while idle. Post (and so
-/// Crash/Recover) and Shutdown wake it through the eventfd. Deadlines are
-/// met to within the kernel's timer slack (~50 µs by default).
+/// eventfd, until exactly its next timer or held-datagram due instant, or
+/// indefinitely when it has neither; it never polls while idle. An arriving
+/// datagram wakes it to be held, Post (and so Crash/Recover) and Shutdown
+/// through the eventfd. Deadlines are met to within the kernel's timer slack
+/// (~50 µs by default); timers never fire early.
 ///
 /// Lifecycle: AddNode* -> Start() -> (RunFor / Post / Crash / Recover)* ->
 /// Shutdown(). `stats()` and per-node metrics snapshots are exact only
@@ -158,18 +174,20 @@ class RealCluster : public Runtime {
     bool operator>(const TimerEntry& o) const { return due > o.due; }
   };
 
-  struct DelayedSend {
-    SimTime due = 0;
-    uint64_t seq = 0;  ///< FIFO tie-break for equal due times
-    NodeId to = kInvalidNode;
-    std::vector<uint8_t> frame;
-    bool operator>(const DelayedSend& o) const {
+  /// A validated datagram's payload, held until its netem due instant.
+  struct HeldDatagram {
+    SimTime due = 0;   ///< µs since Start, like `now_us`
+    uint64_t seq = 0;  ///< arrival order: the tie-break for equal due times
+    NodeId from = kInvalidNode;
+    uint32_t type = 0;
+    std::vector<uint8_t> payload;
+    bool operator>(const HeldDatagram& o) const {
       if (due != o.due) return due > o.due;
       return seq > o.seq;
     }
   };
 
-  /// One node's event loop: socket, timers, netem outbox, control queue,
+  /// One node's event loop: socket, timers, netem inbox, control queue,
   /// and the clock cell its node's `Now()` reads. All fields other than the
   /// control queue are loop-thread-local once Start() has run.
   struct Loop {
@@ -178,13 +196,13 @@ class RealCluster : public Runtime {
     uint16_t port = 0;
     SimTime now_us = 0;
     Rng send_rng{0};
-    uint64_t send_seq = 0;
+    uint64_t arrival_seq = 0;
     std::priority_queue<TimerEntry, std::vector<TimerEntry>,
                         std::greater<TimerEntry>>
         timers;
-    std::priority_queue<DelayedSend, std::vector<DelayedSend>,
-                        std::greater<DelayedSend>>
-        outbox;
+    /// Min-heap (std::push_heap / pop_heap with std::greater): a plain
+    /// vector so delivery can move the payload out of the top entry.
+    std::vector<HeldDatagram> inbox;
     std::mutex ctl_mu;
     std::condition_variable ctl_done;  ///< notified after each ++ctl_executed
     std::deque<std::function<void()>> ctl;
@@ -204,9 +222,11 @@ class RealCluster : public Runtime {
   void Wake(Loop* loop);
   void LoopMain(Loop* loop);
   /// One loop iteration body, split out for testability: runs control
-  /// closures, fires due timers, flushes the due outbox, drains the socket.
+  /// closures, drains the socket into the inbox, fires due timers, and
+  /// delivers the held datagrams due within `kDeliveryWindow`.
   void LoopTick(Loop* loop);
   void DrainSocket(Loop* loop);
+  void DeliverDue(Loop* loop);
   void Dispatch(Loop* loop, NodeId from, uint32_t type, const uint8_t* data,
                 size_t n);
 
@@ -218,7 +238,9 @@ class RealCluster : public Runtime {
   std::vector<std::unique_ptr<obs::MetricsRegistry>> metrics_;
   std::vector<std::unique_ptr<obs::FlightRecorder>> flights_;
   std::vector<uint16_t> ports_;  ///< node id -> UDP port, fixed at Start
-  std::chrono::steady_clock::time_point epoch_;
+  /// Start() instant in µs on `CLOCK_MONOTONIC`: `now_us` values are
+  /// offsets from it, frame `due_us` values absolute.
+  SimTime epoch_mono_us_ = 0;
   bool started_ = false;
   bool shut_down_ = false;
 };

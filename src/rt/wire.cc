@@ -36,10 +36,21 @@ inline void StoreU32(uint8_t* p, uint32_t v) {
   for (int i = 0; i < 4; ++i) p[i] = static_cast<uint8_t>((v >> (8 * i)) & 0xff);
 }
 
+inline uint64_t LoadU64(const uint8_t* p) {
+  return static_cast<uint64_t>(LoadU32(p)) |
+         static_cast<uint64_t>(LoadU32(p + 4)) << 32;
+}
+
+inline void StoreU64(uint8_t* p, uint64_t v) {
+  StoreU32(p, static_cast<uint32_t>(v));
+  StoreU32(p + 4, static_cast<uint32_t>(v >> 32));
+}
+
 }  // namespace
 
-void EncodeFrame(NodeId from, NodeId to, uint32_t type, const uint8_t* payload,
-                 size_t payload_len, std::vector<uint8_t>* out) {
+void EncodeFrame(NodeId from, NodeId to, uint32_t type, uint64_t due_us,
+                 const uint8_t* payload, size_t payload_len,
+                 std::vector<uint8_t>* out) {
   out->clear();
   out->resize(kWireHeaderSize + payload_len);
   uint8_t* p = out->data();
@@ -50,6 +61,7 @@ void EncodeFrame(NodeId from, NodeId to, uint32_t type, const uint8_t* payload,
   StoreU32(p + 13, static_cast<uint32_t>(to));
   StoreU32(p + 17, type);
   StoreU32(p + 21, static_cast<uint32_t>(payload_len));
+  StoreU64(p + 25, due_us);
   if (payload_len > 0) std::memcpy(p + kWireHeaderSize, payload, payload_len);
   const uint32_t crc = Crc32c(p + 8, out->size() - 8);
   StoreU32(p + 4, MaskCrc(crc));
@@ -68,6 +80,7 @@ WireError DecodeFrame(const uint8_t* data, size_t n, WireFrame* frame) {
   frame->from = static_cast<NodeId>(LoadU32(data + 9));
   frame->to = static_cast<NodeId>(LoadU32(data + 13));
   frame->type = LoadU32(data + 17);
+  frame->due_us = LoadU64(data + 25);
   frame->payload = data + kWireHeaderSize;
   frame->payload_len = payload_len;
   return WireError::kOk;
