@@ -45,8 +45,6 @@ Site::~Site() = default;
 
 void Site::Start() {
   flight_ = runtime()->flight_for(id());
-  // The shard-local registry under PDES (merged in partition order at run
-  // end), the primary one otherwise.
   if (obs::MetricsRegistry* mr = runtime()->metrics_for(id())) {
     obs::MetricLabels labels;
     labels.site = id();

@@ -368,9 +368,9 @@ class Site : public rt::Node {
   const char* ProtocolName() const {
     return IsAnyMode() ? "any" : "majority";
   }
-  /// Shard-local flight recorder: this site's shard ring under PDES,
-  /// merged at FinishRun. Rounds, phases and request waits are derived
-  /// from its events after the run (harness/postmortem.h).
+  /// The backend's flight recorder for this site. Rounds, phases and
+  /// request waits are derived from its events after the run
+  /// (harness/postmortem.h).
   obs::FlightRecorder* flight_ = nullptr;
   SimTime phase_started_ = 0;
   Histogram* hist_election_us_ = nullptr;  ///< leader election-phase duration

@@ -10,7 +10,6 @@
 #include "common/macros.h"
 #include "common/testonly_mutation.h"
 #include "core/app_manager.h"
-#include "harness/parallel_runner.h"
 #include "workload/transform.h"
 
 namespace samya::harness {
@@ -106,53 +105,10 @@ std::vector<double> Experiment::RegionDemandSeries(int region_index) const {
   return series;
 }
 
-namespace {
-
-/// Why `opts` cannot run on the PDES worker pool ("" when it can). The
-/// coordinator re-checks most of these itself (sim/pdes.h), but deciding
-/// here keeps ineligible runs from ever building partition machinery and
-/// lets the reason name the harness feature instead of its sim-level
-/// symptom.
-std::string PdesIneligibility(const ExperimentOptions& opts) {
-  if (opts.oracle != nullptr) {
-    return "schedule oracle attached: exploration needs the serial loop";
-  }
-  if (opts.history != nullptr) {
-    return "history recorder attached: ops append to one shared log";
-  }
-  if (opts.audit.enabled) {
-    return "invariant auditor reads cross-site state mid-run";
-  }
-  for (const sim::FaultOp& op : opts.fault_schedule.ops) {
-    if ((op.kind == sim::FaultOp::Kind::kSetDelayFactor ||
-         op.kind == sim::FaultOp::Kind::kSetLinkDelayFactor) &&
-        op.value < 1.0) {
-      return "fault schedule shrinks latency below the lookahead bound";
-    }
-  }
-  if (ActiveSweepThreads() > 1) {
-    return "parallel sweep already saturates the cores";
-  }
-  return "";
-}
-
-}  // namespace
-
 void Experiment::Setup() {
   SAMYA_CHECK(!setup_done_);
   setup_done_ = true;
-  sim::PdesOptions pdes;
-  if (opts_.pdes_workers > 1) {
-    pdes_fallback_reason_ = PdesIneligibility(opts_);
-    if (pdes_fallback_reason_.empty()) {
-      pdes.workers = opts_.pdes_workers;
-    } else {
-      SAMYA_LOG_INFO("experiment: pdes disabled: %s",
-                     pdes_fallback_reason_.c_str());
-    }
-  }
-  cluster_ = std::make_unique<sim::Cluster>(opts_.seed, sim::LatencyModel(),
-                                           pdes);
+  cluster_ = std::make_unique<sim::Cluster>(opts_.seed);
   faults_ = std::make_unique<sim::FaultInjector>(&cluster_->net());
   if (opts_.oracle != nullptr) {
     // Before any event is scheduled: the queue must meta-tag every slot.
@@ -430,9 +386,6 @@ ExperimentResult Experiment::Run() {
   Logger::SetThreadSimClock(cluster_->env().now_ptr());
   cluster_->StartAll();
   cluster_->RunUntil(opts_.duration + Seconds(10));
-  // Fold per-partition obs state into the primary registries before
-  // anything below reads metrics or profiler counts (no-op when serial).
-  cluster_->FinishRun();
 
   ExperimentResult result;
   for (auto* client : clients_) {

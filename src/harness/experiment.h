@@ -65,15 +65,6 @@ struct ExperimentOptions {
   // Samya knobs.
   core::SiteOptions site_template;  ///< timers/epoch defaults for sites
 
-  /// Conservative-window PDES worker count (DESIGN.md §11). 1 (default)
-  /// runs the plain serial event loop. >1 partitions the simulation by
-  /// region across that many workers, bit-identical to the serial run.
-  /// Silently ignored — with the reason logged and surfaced through
-  /// `Experiment::pdes_fallback_reason()` — when an attached feature needs
-  /// the serial loop (schedule oracle, history recorder, auditor, tracing,
-  /// latency-shrinking fault schedules, or an already-parallel sweep).
-  int pdes_workers = 1;
-
   // Chaos knobs. `fault_schedule` is applied against the network during
   // Setup (node ids: sites are 0..num_sites-1); `audit.enabled` installs a
   // continuous InvariantAuditor before the run (Samya variants with the
@@ -85,7 +76,7 @@ struct ExperimentOptions {
   /// the simulator then runs its uninstrumented hot path.
   obs::ObsOptions obs;
 
-  // Schedule exploration (DESIGN.md §10). Both non-owning and null by
+  // Schedule exploration (DESIGN.md §7). Both non-owning and null by
   // default, which leaves the simulator and client hot paths untouched.
   /// Oracle deciding message-delivery order; attached to the environment
   /// before any node is constructed.
@@ -170,21 +161,6 @@ class Experiment {
   /// a component. Valid from Setup on.
   obs::Observability* observability() const { return obs_.get(); }
 
-  /// True when this run is actually executing on the PDES worker pool
-  /// (requested via `pdes_workers` and not forced serial). Valid from
-  /// Setup on.
-  bool pdes_active() const {
-    return cluster_ != nullptr && cluster_->pdes_active();
-  }
-  /// Why PDES is not running ("" when it is): the Setup-time prescan
-  /// reason if the request never reached the cluster, otherwise the
-  /// coordinator's own fallback reason.
-  std::string pdes_fallback_reason() const {
-    if (!pdes_fallback_reason_.empty()) return pdes_fallback_reason_;
-    return cluster_ != nullptr ? cluster_->pdes_fallback_reason()
-                               : std::string("setup not run");
-  }
-
   /// Conservation audit (Eq. 1): sum of site TokensLeft plus net committed
   /// acquires must equal M_e. Meaningful for Samya variants with the
   /// constraint on, after a failure-free drained run.
@@ -224,7 +200,6 @@ class Experiment {
   std::vector<WorkloadClient*> clients_;
   std::vector<sim::NodeId> server_ids_;
   std::vector<sim::NodeId> client_ids_;
-  std::string pdes_fallback_reason_;  ///< Setup prescan verdict; "" = eligible
   bool setup_done_ = false;
 };
 

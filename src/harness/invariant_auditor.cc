@@ -66,9 +66,7 @@ void InvariantAuditor::Report(const std::string& check, std::string detail,
   SAMYA_LOG_ERROR("AUDIT t=%s %s: %s", FormatDuration(now).c_str(),
                   check.c_str(), detail.c_str());
   // Drop a marker into the flight recorder so the post-mortem timeline
-  // shows exactly where in the protocol history the check fired. Audited
-  // runs are serial (PdesIneligibility), so the primary recorder is the
-  // only one.
+  // shows exactly where in the protocol history the check fired.
   if (obs::FlightRecorder* flight = experiment_->cluster().net().flight()) {
     flight->Record(now, std::max(site, 0), obs::FlightKind::kViolation,
                    ViolationCode(check),

@@ -11,16 +11,6 @@
 
 namespace samya::harness {
 
-namespace {
-/// See ActiveSweepThreads(). Relaxed is enough: readers only need an
-/// approximate "is a sweep running" signal, not an ordering guarantee.
-std::atomic<int> g_active_sweep_threads{0};
-}  // namespace
-
-int ActiveSweepThreads() {
-  return g_active_sweep_threads.load(std::memory_order_relaxed);
-}
-
 int DefaultRunnerThreads() {
   if (const char* env = std::getenv("SAMYA_BENCH_THREADS")) {
     const int n = std::atoi(env);
@@ -50,14 +40,10 @@ void RunIndexed(size_t n, int threads, const std::function<void(size_t)>& fn) {
   };
 
   const size_t num_workers = std::min(static_cast<size_t>(threads), n);
-  g_active_sweep_threads.fetch_add(static_cast<int>(num_workers),
-                                   std::memory_order_relaxed);
   std::vector<std::thread> pool;
   pool.reserve(num_workers);
   for (size_t t = 0; t < num_workers; ++t) pool.emplace_back(worker);
   for (std::thread& t : pool) t.join();
-  g_active_sweep_threads.fetch_sub(static_cast<int>(num_workers),
-                                   std::memory_order_relaxed);
 }
 
 std::vector<ExperimentResult> RunAll(std::vector<ExperimentOptions> options,

@@ -41,12 +41,6 @@ std::vector<ExperimentResult> RunAll(std::vector<ExperimentOptions> options,
 /// Thread count `RunAll` resolves `threads <= 0` to.
 int DefaultRunnerThreads();
 
-/// Workers currently executing inside `RunIndexed` pools, process-wide
-/// (0 when no sweep is running; the serial fast path does not count).
-/// `Experiment::Setup` consults this to keep intra-run PDES from
-/// oversubscribing cores that a sweep already saturates.
-int ActiveSweepThreads();
-
 }  // namespace samya::harness
 
 #endif  // SAMYA_HARNESS_PARALLEL_RUNNER_H_

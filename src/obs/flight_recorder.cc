@@ -10,18 +10,11 @@ namespace samya::obs {
 namespace {
 
 /// Canonical (at, site, seq) order. `seq` is per-site monotonic, so the
-/// triple is a total order over one run's events; identical serial vs PDES
-/// because per-site execution order is bit-identical.
+/// triple is a total order over one run's events.
 bool CanonicalLess(const FlightEvent& x, const FlightEvent& y) {
   if (x.at != y.at) return x.at < y.at;
   if (x.site != y.site) return x.site < y.site;
   return x.seq < y.seq;
-}
-
-std::vector<FlightEvent> SortedCopy(const std::vector<FlightEvent>& ring) {
-  std::vector<FlightEvent> out = ring;
-  std::sort(out.begin(), out.end(), CanonicalLess);
-  return out;
 }
 
 }  // namespace
@@ -35,18 +28,15 @@ uint32_t FlightRecorder::NextSeq(int32_t site) {
   return seq_[idx]++;
 }
 
-void FlightRecorder::Push(std::vector<FlightEvent>& ring, uint64_t& total,
-                          const FlightEvent& ev) {
-  if (ring.size() < capacity_) {
-    ring.push_back(ev);
+void FlightRecorder::Push(const FlightEvent& ev) {
+  if (ring_.size() < capacity_) {
+    ring_.push_back(ev);
   } else {
-    FlightEvent& slot = ring[static_cast<size_t>(total % capacity_)];
-    if (&ring == &ring_ && slot.at > evicted_until_) {
-      evicted_until_ = slot.at;
-    }
+    FlightEvent& slot = ring_[static_cast<size_t>(total_ % capacity_)];
+    if (slot.at > evicted_until_) evicted_until_ = slot.at;
     slot = ev;
   }
-  ++total;
+  ++total_;
 }
 
 uint32_t FlightRecorder::Record(SimTime at, int32_t site, FlightKind kind,
@@ -62,52 +52,33 @@ uint32_t FlightRecorder::Record(SimTime at, int32_t site, FlightKind kind,
   ev.a = a;
   ev.b = b;
   ev.c = c;
-  Push(ring_, total_, ev);
+  Push(ev);
   return ev.seq;
 }
 
-void FlightRecorder::RecordRuntime(SimTime at, int32_t partition,
-                                   FlightKind kind, int64_t a, int64_t b,
-                                   int64_t c) {
-  FlightEvent ev;
-  ev.at = at;
-  ev.site = partition;
-  ev.seq = static_cast<uint32_t>(runtime_total_);
-  ev.kind = kind;
-  ev.a = a;
-  ev.b = b;
-  ev.c = c;
-  Push(runtime_ring_, runtime_total_, ev);
-}
-
 void FlightRecorder::Merge(const FlightRecorder& other) {
-  // Every site lives in exactly one partition, so per-site seq ranges are
+  // Every site records into exactly one recorder, so per-site seq ranges are
   // disjoint across the recorders being merged; preserving other's stamps
   // keeps the canonical order well defined. Advance our counters past the
   // merged stamps so post-merge recording stays per-site monotonic.
   for (const FlightEvent& ev : other.ring_) {
-    Push(ring_, total_, ev);
+    Push(ev);
     const auto idx = static_cast<size_t>(ev.site);
     if (idx >= seq_.size()) seq_.resize(idx + 1, 0);
     seq_[idx] = std::max(seq_[idx], ev.seq + 1);
   }
   total_ += other.dropped();  // evictions travel too: total stays the sum
   evicted_until_ = std::max(evicted_until_, other.evicted_until_);
-  for (const FlightEvent& ev : other.runtime_ring_) {
-    Push(runtime_ring_, runtime_total_, ev);
-  }
 }
 
 std::vector<FlightEvent> FlightRecorder::Canonical() const {
-  return SortedCopy(ring_);
-}
-
-std::vector<FlightEvent> FlightRecorder::Runtime() const {
-  return SortedCopy(runtime_ring_);
+  std::vector<FlightEvent> out = ring_;
+  std::sort(out.begin(), out.end(), CanonicalLess);
+  return out;
 }
 
 SimTime FlightRecorder::complete_from() const {
-  // `evicted_until_` tracks the newest protocol event ever overwritten
+  // `evicted_until_` tracks the newest event ever overwritten
   // (across merges); retained history is complete strictly after it.
   return dropped() == 0 ? 0 : evicted_until_ + 1;
 }
@@ -168,9 +139,6 @@ JsonValue FlightRecorder::ToJson() const {
   JsonValue events = JsonValue::MakeArray();
   for (const FlightEvent& ev : Canonical()) events.Append(EventToJson(ev));
   root.Set("events", std::move(events));
-  JsonValue runtime = JsonValue::MakeArray();
-  for (const FlightEvent& ev : Runtime()) runtime.Append(EventToJson(ev));
-  root.Set("runtime", std::move(runtime));
   return root;
 }
 
@@ -190,8 +158,6 @@ const char* FlightRecorder::KindName(FlightKind kind) {
     case FlightKind::kRightsTransfer: return "rights_transfer";
     case FlightKind::kViolation: return "violation";
     case FlightKind::kRequest: return "request";
-    case FlightKind::kClaim: return "pdes_claim";
-    case FlightKind::kBarrier: return "pdes_barrier";
   }
   return "?";
 }
@@ -204,8 +170,7 @@ bool FlightRecorder::KindFromName(const std::string& name, FlightKind* out) {
       FlightKind::kOpLogAppend,    FlightKind::kOpLogReplay,
       FlightKind::kReconcileOffer, FlightKind::kReconcileAck,
       FlightKind::kGossipMerge,    FlightKind::kRightsTransfer,
-      FlightKind::kViolation,      FlightKind::kRequest,
-      FlightKind::kClaim,          FlightKind::kBarrier};
+      FlightKind::kViolation,      FlightKind::kRequest};
   for (FlightKind k : kAll) {
     if (name == KindName(k)) {
       *out = k;

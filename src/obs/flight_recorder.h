@@ -23,27 +23,18 @@ namespace samya::obs {
 /// and an armed recorder changes no RNG draw, payload byte, or event
 /// ordering (pinned by FlightRecorderDeterminismTest).
 ///
-/// Two channels:
-///  - protocol events (`FlightKind` < `kRuntimeBase`): sim-time-stamped
-///    state transitions. Each is stamped (at, site, seq) where `seq` is a
-///    per-site monotonic counter; sorting by that triple gives a canonical
-///    total order that is identical between the serial loop and PDES,
-///    because per-site execution order is bit-identical (DESIGN.md §11).
-///    These are what `Digest()` covers and what `samya_postmortem diff`
-///    compares.
-///  - runtime events (>= `kRuntimeBase`): PDES window/barrier accounting
-///    that carries wall-clock nanoseconds and claim scheduling, which is
-///    inherently nondeterministic. Kept out of the canonical order and the
-///    digest; exported for performance forensics only.
+/// Events are sim-time-stamped protocol state transitions. Each is stamped
+/// (at, site, seq) where `seq` is a per-site monotonic counter; sorting by
+/// that triple gives a canonical total order. That order is what `Digest()`
+/// covers and what `samya_postmortem diff` compares.
 ///
-/// Under PDES each network shard gets its own recorder (exclusive to the
-/// partition's claim holder, like its MetricsRegistry); `Merge` folds them
-/// into the primary in partition order at `FinishRun`.
+/// The real backend keeps one recorder per node; `Merge` folds them into
+/// one after the run.
 enum class FlightKind : uint16_t {
   kPhase = 1,        ///< Avantan phase transition; a=instance, b=aux
   kPoolDelta,        ///< token-pool change; a=delta, b=pool after
-  kMsgSend,          ///< send fate (sender's shard); a=type, b=to, c=bytes
-  /// Delivery fate (receiver's shard); a=type, b=from, c=the send event's
+  kMsgSend,          ///< send fate; a=type, b=to, c=bytes
+  /// Delivery fate (attributed to the receiver); a=type, b=from, c=the send event's
   /// seq on site `from` (-1 when the backend cannot pair it).
   kMsgDeliver,
   kEpochEnter,       ///< disconnected epoch opened; a=epoch
@@ -58,11 +49,7 @@ enum class FlightKind : uint16_t {
   /// A client request that was not answered in its arrival handler;
   /// a=request id. Begin codes b=amount; kRequestAnswered b=status.
   kRequest,
-  // ---- runtime channel (wall-clock, PDES scheduling) ----
-  kClaim = 100,      ///< one claim; a=windows, b=wall ns, c=mailbox drained
-  kBarrier,          ///< one barrier; a=global ops run, b=wall ns
 };
-inline constexpr uint16_t kFlightRuntimeBase = 100;
 
 /// Per-kind event codes (the `code` field).
 enum : uint16_t {
@@ -111,7 +98,7 @@ enum : uint16_t {
 /// One recorded event. 40 bytes; the ring stores these by value.
 struct FlightEvent {
   SimTime at = 0;
-  int32_t site = -1;   ///< node id (protocol) or partition id (runtime)
+  int32_t site = -1;   ///< node id
   uint32_t seq = 0;    ///< per-site monotonic, stamped by Record
   FlightKind kind{};
   uint16_t code = 0;
@@ -119,9 +106,6 @@ struct FlightEvent {
   int64_t b = 0;
   int64_t c = 0;
 
-  bool is_runtime() const {
-    return static_cast<uint16_t>(kind) >= kFlightRuntimeBase;
-  }
   bool operator==(const FlightEvent& o) const {
     return at == o.at && site == o.site && seq == o.seq && kind == o.kind &&
            code == o.code && a == o.a && b == o.b && c == o.c;
@@ -139,34 +123,24 @@ class FlightRecorder {
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
-  /// Protocol channel. `site` must be >= 0; returns the `seq` it stamps.
+  /// `site` must be >= 0; returns the `seq` it stamps.
   uint32_t Record(SimTime at, int32_t site, FlightKind kind, uint16_t code,
                   int64_t a = 0, int64_t b = 0, int64_t c = 0);
 
-  /// Runtime channel (PDES wall-clock accounting). Bounded by the same
-  /// capacity, in its own ring; never part of the canonical order.
-  void RecordRuntime(SimTime at, int32_t partition, FlightKind kind,
-                     int64_t a, int64_t b, int64_t c);
-
-  /// Protocol events ever recorded (>= retained when the ring wrapped).
+  /// Events ever recorded (>= retained when the ring wrapped).
   uint64_t total() const { return total_; }
   size_t retained() const { return ring_.size(); }
   size_t capacity() const { return capacity_; }
   uint64_t dropped() const { return total_ - ring_.size(); }
 
-  /// Folds another recorder's retained events (both channels) into this
-  /// one, preserving their original stamps. Per-site seq counters advance
+  /// Folds another recorder's retained events into this one, preserving their original stamps. Per-site seq counters advance
   /// past the merged events so later recording stays monotonic per site.
   void Merge(const FlightRecorder& other);
 
-  /// Retained protocol events in canonical (at, site, seq) order —
-  /// identical serial vs PDES for the same run while nothing was evicted.
+  /// Retained events in canonical (at, site, seq) order.
   std::vector<FlightEvent> Canonical() const;
 
-  /// Retained runtime events, in (at, site, seq) order.
-  std::vector<FlightEvent> Runtime() const;
-
-  /// Earliest time from which the retained protocol history is complete:
+  /// Earliest time from which the retained history is complete:
   /// 0 when nothing was evicted, otherwise just after the newest evicted
   /// event. Diffs trim both sides to max(complete_from) before comparing.
   SimTime complete_from() const;
@@ -177,13 +151,12 @@ class FlightRecorder {
   /// Run end time, carried as `end`: spans still open then close at it.
   void set_end(SimTime end) { end_ = end; }
 
-  /// FNV-1a over the canonical protocol events. Bit-identical across
-  /// serial/PDES and obs-on/off reruns of the same seed (no-wrap runs).
+  /// FNV-1a over the canonical events. Bit-identical across reruns of the
+  /// same seed, and across obs-on/off (no-wrap runs).
   uint64_t Digest() const;
 
   /// {format:"samya-flight-v1", total, dropped, complete_from, end,
-  ///  nodes:[{id,name}], events:[{at,site,seq,kind,code,a,b,c}],
-  ///  runtime:[...]}.
+  ///  nodes:[{id,name}], events:[{at,site,seq,kind,code,a,b,c}]}.
   /// Canonical order; `JsonDump(v, 2)` of this is the bundle's flight
   /// section and round-trips byte-identically through FromJson.
   JsonValue ToJson() const;
@@ -195,16 +168,13 @@ class FlightRecorder {
   static bool KindFromName(const std::string& name, FlightKind* out);
 
  private:
-  void Push(std::vector<FlightEvent>& ring, uint64_t& total,
-            const FlightEvent& ev);
+  void Push(const FlightEvent& ev);
   uint32_t NextSeq(int32_t site);
 
   size_t capacity_;
-  std::vector<FlightEvent> ring_;          ///< protocol channel
-  std::vector<FlightEvent> runtime_ring_;  ///< runtime channel
+  std::vector<FlightEvent> ring_;
   uint64_t total_ = 0;
-  uint64_t runtime_total_ = 0;
-  SimTime evicted_until_ = 0;  ///< newest protocol event ever overwritten
+  SimTime evicted_until_ = 0;  ///< newest event ever overwritten
   std::vector<uint32_t> seq_;  ///< per-site counters, indexed by site id
   std::map<int32_t, std::string> nodes_;
   SimTime end_ = 0;

@@ -17,8 +17,7 @@ struct ObsOptions {
   bool profiler = false;  ///< event-loop wall-clock accounting
   /// Flight-recorder ring size (DESIGN.md §8); 0 = off. Sweeps keep
   /// `FlightRecorder::kDefaultCapacity`; full-run captures pass
-  /// `FlightRecorder::kUnbounded`. PDES-compatible (per-shard rings of the
-  /// same capacity, merged at FinishRun).
+  /// `FlightRecorder::kUnbounded`.
   size_t flight_capacity = 0;
 
   bool any() const { return metrics || profiler || flight_capacity > 0; }

@@ -18,17 +18,6 @@ struct TypeRow {
 
 }  // namespace
 
-void EventLoopProfiler::Merge(const EventLoopProfiler& other) {
-  events_ += other.events_;
-  loop_ns_ += other.loop_ns_;
-  timer_count_ += other.timer_count_;
-  timer_ns_ += other.timer_ns_;
-  for (uint32_t i = 0; i < kTypeSlots; ++i) {
-    type_count_[i] += other.type_count_[i];
-    type_ns_[i] += other.type_ns_[i];
-  }
-}
-
 static std::vector<TypeRow> SortedRows(const uint64_t* counts,
                                        const int64_t* ns, uint32_t slots) {
   std::vector<TypeRow> rows;

@@ -56,9 +56,6 @@ class EventLoopProfiler {
   uint64_t events() const { return events_; }
   int64_t loop_ns() const { return loop_ns_; }
 
-  /// Folds another run's accounting into this one (parallel sweeps).
-  void Merge(const EventLoopProfiler& other);
-
   /// {events, loop_ns, timers:{...}, other_ns, by_type:[{type,name,count,ns}]}
   /// sorted by descending ns; zero-count types omitted.
   JsonValue ToJson() const;

@@ -86,9 +86,6 @@ class Runtime {
   /// per-loop monotonic-time cell).
   static inline void Bind(Node& n, Runtime* runtime, const SimTime* clock);
 
-  /// Re-points only the clock (PDES serial fallback re-homes partitions).
-  static inline void BindClock(Node& n, const SimTime* clock);
-
   /// Seeds the node's own RNG stream.
   static inline void SeedRng(Node& n, Rng rng);
 
@@ -236,8 +233,6 @@ void Runtime::Bind(Node& n, Runtime* runtime, const SimTime* clock) {
   n.runtime_ = runtime;
   n.clock_ = clock;
 }
-
-void Runtime::BindClock(Node& n, const SimTime* clock) { n.clock_ = clock; }
 
 void Runtime::SeedRng(Node& n, Rng rng) { n.rng_ = rng; }
 

@@ -2,13 +2,11 @@
 #define SAMYA_SIM_CLUSTER_H_
 
 #include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
 #include "sim/environment.h"
 #include "sim/network.h"
-#include "sim/pdes.h"
 #include "storage/stable_storage.h"
 
 namespace samya::sim {
@@ -19,24 +17,10 @@ namespace samya::sim {
 /// Node ids are assigned in `AddNode` order. Node constructors receive
 /// `(NodeId, Region, args...)`; after construction the node is registered
 /// with the network so its `Send`/`SetTimer` helpers work.
-///
-/// With `PdesOptions::workers > 1` the cluster builds a conservative-window
-/// PDES deployment (sim/pdes.h, DESIGN.md §11): nodes are partitioned by
-/// region onto separate event loops and `RunUntil` executes windows on a
-/// worker pool, bit-identical to the serial loop. The coordinator may still
-/// fall back to serial (see `pdes_fallback_reason`).
 class Cluster {
  public:
-  explicit Cluster(uint64_t seed, LatencyModel model = LatencyModel(),
-                   PdesOptions pdes = PdesOptions())
-      : env_(seed), network_(&env_, model) {
-    if (pdes.workers > 1) {
-      coordinator_ =
-          std::make_unique<PdesCoordinator>(&env_, seed, pdes.workers);
-      coordinator_->AttachNetwork(&network_);
-      env_.set_global_sink(coordinator_.get());
-    }
-  }
+  explicit Cluster(uint64_t seed, LatencyModel model = LatencyModel())
+      : env_(seed), network_(&env_, model) {}
 
   template <typename T, typename... Args>
   T* AddNode(Region region, Args&&... args) {
@@ -45,12 +29,7 @@ class Cluster {
     T* ptr = node.get();
     nodes_.push_back(std::move(node));
     storages_.push_back(std::make_unique<storage::InMemoryStableStorage>());
-    if (coordinator_ != nullptr) {
-      const auto [env, shard] = coordinator_->PartitionFor(region);
-      network_.Register(ptr, env, shard);
-    } else {
-      network_.Register(ptr);
-    }
+    network_.Register(ptr);
     return ptr;
   }
 
@@ -60,51 +39,20 @@ class Cluster {
     return storages_[static_cast<size_t>(id)].get();
   }
 
-  /// Calls Start() on every node (after all registrations). Under PDES this
-  /// first locks the partition layout and computes the window.
+  /// Calls Start() on every node (after all registrations).
   void StartAll() {
-    if (coordinator_ != nullptr) coordinator_->Finalize(nodes_.size());
     for (auto& n : nodes_) {
       // Start() is node code: its scheduling keys on the node's stream.
-      network_.EnvFor(n->id())->SetCurrentStream(
-          static_cast<uint32_t>(n->id()) + 1);
+      env_.SetCurrentStream(static_cast<uint32_t>(n->id()) + 1);
       n->Start();
     }
-    for (auto& n : nodes_) network_.EnvFor(n->id())->SetCurrentStream(0);
+    env_.SetCurrentStream(0);
   }
 
-  /// Runs the simulation to `t` inclusive — the PDES coordinator when one
-  /// is active, the plain serial loop otherwise.
-  void RunUntil(SimTime t) {
-    if (coordinator_ != nullptr) {
-      coordinator_->RunUntil(t);
-    } else {
-      env_.RunUntil(t);
-    }
-  }
+  /// Runs the simulation to `t` inclusive.
+  void RunUntil(SimTime t) { env_.RunUntil(t); }
 
-  /// Events executed across all partition environments (== the primary
-  /// environment's count for serial clusters).
-  uint64_t TotalEventsExecuted() const {
-    return coordinator_ != nullptr ? coordinator_->TotalEventsExecuted()
-                                   : env_.events_executed();
-  }
-
-  /// Call once after the last `RunUntil`, before reading merged metrics or
-  /// profiler state: folds per-partition obs into the primary registries in
-  /// partition order. No-op for serial clusters.
-  void FinishRun() {
-    if (coordinator_ != nullptr) coordinator_->FinishRun();
-  }
-
-  bool pdes_active() const {
-    return coordinator_ != nullptr && coordinator_->active();
-  }
-  std::string pdes_fallback_reason() const {
-    return coordinator_ != nullptr ? coordinator_->fallback_reason()
-                                   : std::string("pdes not requested");
-  }
-  const PdesCoordinator* pdes() const { return coordinator_.get(); }
+  uint64_t TotalEventsExecuted() const { return env_.events_executed(); }
 
   SimEnvironment& env() { return env_; }
   Network& net() { return network_; }
@@ -114,7 +62,6 @@ class Cluster {
  private:
   SimEnvironment env_;
   Network network_;
-  std::unique_ptr<PdesCoordinator> coordinator_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<std::unique_ptr<storage::InMemoryStableStorage>> storages_;
 };

@@ -2,7 +2,6 @@
 #define SAMYA_SIM_EVENT_QUEUE_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -99,7 +98,7 @@ class EventQueue {
       free_slots_.pop_back();
     } else {
       slot = static_cast<uint32_t>(slots_.size());
-      SAMYA_CHECK(slot < kSlotMask);  // all-ones marks a foreign handle
+      SAMYA_CHECK(slot < kSlotMask);  // the slot must fit in kSlotBits
       slots_.emplace_back();
       slot_keys_.push_back(0);
       if (track_meta_) metas_.emplace_back();
@@ -117,44 +116,12 @@ class EventQueue {
     SiftUp(heap_.size() - 1, Entry{time, handle});
   }
 
-  /// The handle of an event with key `seq` that lives in no queue's slot
-  /// table under that handle: scheduling code returns it for an event it
-  /// hands elsewhere (the PDES barrier queue), whose queue then `Adopt`s
-  /// the event.
-  static uint64_t ForeignHandle(uint64_t seq) {
-    return (seq << kSlotBits) | kSlotMask;
-  }
-
-  /// Pushes an event whose handle was minted outside this queue: diverted
-  /// to it at scheduling time (`ForeignHandle`), or re-homed from another
-  /// queue (the PDES serial fallback). The slot in such a handle is not the
-  /// event's slot here, so the queue indexes the event by `seq`, which
-  /// travels with it, and `Cancel` falls back to that index.
-  void Adopt(SimTime time, uint64_t seq, SimCallback&& fn) {
-    adopted_[seq] = SlotOf(Push(time, seq, std::move(fn)));
-  }
-
-  /// `Adopt` for a batch (consumed); order is irrelevant, as for
-  /// `PushBatch`.
-  void AdoptBatch(std::vector<Event>* evs) {
-    for (Event& e : *evs) Adopt(e.time, e.seq, std::move(e.fn));
-    evs->clear();
-  }
-
   /// Removes a pending event by handle: it is never popped, run or counted.
   /// Returns false, doing nothing, for a stale handle (already popped,
-  /// already cancelled, slot since reused) or one this queue never issued
-  /// or adopted.
+  /// already cancelled, slot since reused) or one this queue never issued.
   bool Cancel(uint64_t handle) {
-    uint32_t slot = SlotOf(handle);
-    if (slot >= slot_keys_.size() || slot_keys_[slot] != handle) {
-      if (adopted_.empty()) return false;
-      const auto it = adopted_.find(handle >> kSlotBits);
-      if (it == adopted_.end()) return false;
-      slot = it->second;
-      adopted_.erase(it);
-      if (slot_keys_[slot] != ((handle & ~kSlotMask) | slot)) return false;
-    }
+    const uint32_t slot = SlotOf(handle);
+    if (slot >= slot_keys_.size() || slot_keys_[slot] != handle) return false;
     slot_keys_[slot] = 0;
     slots_[slot] = SimCallback();  // release the captures now
     free_slots_.push_back(slot);
@@ -196,27 +163,6 @@ class EventQueue {
     Event out{p.time, p.seq, std::move(slots_[p.slot])};
     free_slots_.push_back(p.slot);
     return out;
-  }
-
-  /// Appends every pending event with `time <= horizon` to `out` in exact
-  /// pop order — (time, seq), the serial tie-break — and removes them from
-  /// the queue. The PDES window barrier uses this to hand a partition's
-  /// boundary-crossing events to its mailbox without disturbing ordering.
-  void ExtractUntil(SimTime horizon, std::vector<Event>* out) {
-    while (!heap_.empty() && heap_[0].time <= horizon) {
-      out->push_back(Pop());
-    }
-  }
-
-  /// Pushes a batch of events carrying pre-assigned (time, seq) keys, e.g.
-  /// a drained mailbox. Order of `*evs` is irrelevant: the heap re-imposes
-  /// the total (time, seq) order, so a drain/`PushBatch` round trip is
-  /// invisible to the pop sequence. The batch is consumed (moved from).
-  void PushBatch(std::vector<Event>* evs) {
-    for (Event& e : *evs) {
-      Push(e.time, e.seq, std::move(e.fn));
-    }
-    evs->clear();
   }
 
   /// First phase of a pop: removes the top entry from the heap but leaves
@@ -386,9 +332,6 @@ class EventQueue {
   std::vector<uint64_t> slot_keys_;
   std::vector<uint32_t> free_slots_;
   size_t dead_ = 0;  ///< cancelled keys still in heap_
-  /// seq -> slot for adopted events (see `Adopt`); entries go stale when
-  /// the event pops, and `Cancel` validates them against slot_keys_.
-  std::unordered_map<uint64_t, uint32_t> adopted_;
   bool track_meta_ = false;
   std::vector<MsgMeta> metas_;  ///< parallel to slots_ when track_meta_
 };

@@ -4,7 +4,6 @@
 
 #include "common/logging.h"
 #include "common/macros.h"
-#include "sim/pdes.h"
 
 namespace samya::sim {
 
@@ -23,37 +22,17 @@ const char* TapEventName(TapEvent ev) {
 }
 
 Network::Network(SimEnvironment* env, LatencyModel model)
-    : env_(env), model_(model), rng_(env->rng().Fork(0x6e657477)),
-      shards_(1) {}
+    : env_(env), model_(model), rng_(env->rng().Fork(0x6e657477)) {}
 
-void Network::Register(Node* node, SimEnvironment* env, uint32_t shard) {
+void Network::Register(Node* node) {
   SAMYA_CHECK_EQ(node->id(), static_cast<NodeId>(nodes_.size()));
-  Bind(*node, this, env->now_ptr());
+  Bind(*node, this, env_->now_ptr());
   SeedRng(*node, rng_.Fork(0x6e6f6465 + static_cast<uint64_t>(node->id())));
   // The per-sender network stream: every loss/duplication/latency draw for
   // this node's sends comes from here, in the node's own send order.
   send_rngs_.push_back(rng_.Fork(0x736e6472 + static_cast<uint64_t>(node->id())));
-  shard_of_.push_back(shard);
   nodes_.push_back(node);
-  envs_.push_back(env);
   partition_group_.push_back(0);
-}
-
-void Network::ForceSerial() {
-  coord_ = nullptr;
-  std::fill(shard_of_.begin(), shard_of_.end(), 0u);
-  std::fill(envs_.begin(), envs_.end(), env_);
-  for (Node* n : nodes_) BindClock(*n, env_->now_ptr());
-}
-
-void Network::EnablePdes(PdesCoordinator* coord, size_t num_partitions) {
-  SAMYA_CHECK(coord != nullptr);
-  SAMYA_CHECK_GE(num_partitions, 1u);
-  // Before the first message: shard 0's counters must still be zero, so
-  // splitting state now loses nothing.
-  SAMYA_CHECK_EQ(shards_[0].stats.messages_sent, 0u);
-  coord_ = coord;
-  shards_.resize(num_partitions);
 }
 
 Node* Network::node(NodeId id) const {
@@ -127,94 +106,69 @@ void Network::InvokeHandler(Node* recv, NodeId from, uint32_t type,
 void Network::Deliver(NodeId from, NodeId to, uint32_t type,
                       std::vector<uint8_t> payload, uint32_t seq) {
   Node* recv = node(to);
-  SimEnvironment* recv_env = envs_[static_cast<size_t>(to)];
   // Entering node code: subsequent Schedule/Send key allocations belong to
   // the receiver's causal stream (see StreamKeyTable).
-  recv_env->SetCurrentStream(static_cast<uint32_t>(to) + 1);
-  NetShard& shard = shards_[shard_of_[static_cast<size_t>(to)]];
+  env_->SetCurrentStream(static_cast<uint32_t>(to) + 1);
   LinkCounters* lc =
-      shard.metrics != nullptr ? &shard.link_counters[LinkKey(from, to)]
-                               : nullptr;
+      metrics_ != nullptr ? &link_counters_[LinkKey(from, to)] : nullptr;
   bool dropped = true;
   if (!recv->alive()) {
-    ++shard.stats.messages_dropped_crashed;
+    ++stats_.messages_dropped_crashed;
   } else if (partitioned_ && !CanCommunicate(from, to)) {
     // A partition that formed while the message was in flight also cuts it.
-    ++shard.stats.messages_dropped_partition;
+    ++stats_.messages_dropped_partition;
   } else if (!cut_links_.empty() && LinkCut(from, to)) {
     // Same rule for a link cut that formed mid-flight.
-    ++shard.stats.messages_dropped_link;
+    ++stats_.messages_dropped_link;
   } else {
     dropped = false;
   }
 
   if (dropped) {
     if (lc != nullptr) ++lc->dropped_at_delivery;
-    if (shard.flight != nullptr) {
-      // Attributed to the receiver, in its shard: the receiver's environment
-      // is the clock that is correct both serially and on a PDES partition.
+    if (flight_ != nullptr) {
       const uint16_t why = !recv->alive() ? obs::kDeliverDroppedCrashed
                            : (partitioned_ && !CanCommunicate(from, to))
                                ? obs::kDeliverDroppedPartition
                                : obs::kDeliverDroppedLink;
-      shard.flight->Record(recv_env->Now(), to, obs::FlightKind::kMsgDeliver,
-                           why, type, from, seq);
+      flight_->Record(env_->Now(), to, obs::FlightKind::kMsgDeliver, why,
+                      type, from, seq);
     }
     if (tap_) {
       tap_(env_->Now(), from, to, type, payload.size(),
            TapEvent::kDroppedAtDelivery);
     }
   } else {
-    ++shard.stats.messages_delivered;
+    ++stats_.messages_delivered;
     if (lc != nullptr) ++lc->delivered;
-    if (shard.flight != nullptr) {
-      shard.flight->Record(recv_env->Now(), to, obs::FlightKind::kMsgDeliver,
-                           obs::kDeliverOk, type, from, seq);
+    if (flight_ != nullptr) {
+      flight_->Record(env_->Now(), to, obs::FlightKind::kMsgDeliver,
+                      obs::kDeliverOk, type, from, seq);
     }
     if (tap_) {
       tap_(env_->Now(), from, to, type, payload.size(), TapEvent::kDelivered);
     }
     BufferReader reader(payload);
-    InvokeHandler(recv, from, type, reader, shard.profiler);
+    InvokeHandler(recv, from, type, reader, profiler_);
   }
-  shard.pool.Release(std::move(payload));
+  pool_.Release(std::move(payload));
 }
 
 void Network::DispatchDelivery(Node* sender, Node* receiver, uint32_t type,
                                std::vector<uint8_t> payload, uint32_t seq,
                                Duration latency) {
-  SimEnvironment* env = envs_[static_cast<size_t>(sender->id())];
   const NodeId from = sender->id();
   const NodeId to = receiver->id();
-  if (shard_of_[static_cast<size_t>(from)] ==
-      shard_of_[static_cast<size_t>(to)]) {
-    // Same partition (always, for serial clusters): straight onto the
-    // sender's event loop. The delivery closure (48 bytes: this + ids +
-    // type + the send's flight seq + the payload vector) fits SimCallback's
-    // inline buffer, and the payload returns to the pool whether the
-    // message is delivered or dropped in flight. Deliveries go through
-    // ScheduleMessage so an attached schedule oracle may reorder them; with
-    // no oracle it is a plain Schedule.
-    env->ScheduleMessage(latency, from, to, type,
-                         [this, from, to, type, seq,
-                          payload = std::move(payload)]() mutable {
-                           Deliver(from, to, type, std::move(payload), seq);
-                         });
-    return;
-  }
-  // Cross-partition: key the event on the sender's stream *now* (so the key
-  // sequence matches the serial run exactly) and hand it to the receiving
-  // partition's mailbox; the window barrier guarantees it arrives before
-  // the receiver's clock reaches it. Same closure shape as above.
-  if (latency < 0) latency = 0;
-  Event e;
-  e.time = env->Now() + latency;
-  e.seq = env->AllocKey();
-  e.fn = [this, from, to, type, seq, payload = std::move(payload)]() mutable {
-    Deliver(from, to, type, std::move(payload), seq);
-  };
-  coord_->EnqueueRemote(shard_of_[static_cast<size_t>(from)],
-                        shard_of_[static_cast<size_t>(to)], std::move(e));
+  // The delivery closure (48 bytes: this + ids + type + the send's flight
+  // seq + the payload vector) fits SimCallback's inline buffer, and the
+  // payload returns to the pool whether the message is delivered or dropped
+  // in flight. Deliveries go through ScheduleMessage so an attached schedule
+  // oracle may reorder them; with no oracle it is a plain Schedule.
+  env_->ScheduleMessage(latency, from, to, type,
+                        [this, from, to, type, seq,
+                         payload = std::move(payload)]() mutable {
+                          Deliver(from, to, type, std::move(payload), seq);
+                        });
 }
 
 void Network::Send(NodeId from, NodeId to, uint32_t type,
@@ -222,14 +176,11 @@ void Network::Send(NodeId from, NodeId to, uint32_t type,
   Node* sender = node(from);
   Node* receiver = node(to);
   if (!sender->alive()) return;  // a crashed node sends nothing
-  SimEnvironment* sender_env = envs_[static_cast<size_t>(from)];
-  NetShard& shard = shards_[shard_of_[static_cast<size_t>(from)]];
   Rng& send_rng = send_rngs_[static_cast<size_t>(from)];
-  ++shard.stats.messages_sent;
-  shard.stats.bytes_sent += payload.size();
+  ++stats_.messages_sent;
+  stats_.bytes_sent += payload.size();
   LinkCounters* lc =
-      shard.metrics != nullptr ? &shard.link_counters[LinkKey(from, to)]
-                               : nullptr;
+      metrics_ != nullptr ? &link_counters_[LinkKey(from, to)] : nullptr;
   if (lc != nullptr) {
     ++lc->attempts;
     lc->bytes += payload.size();
@@ -237,51 +188,50 @@ void Network::Send(NodeId from, NodeId to, uint32_t type,
 
   bool dropped_at_send = false;
   if (partitioned_ && !CanCommunicate(from, to)) {
-    ++shard.stats.messages_dropped_partition;
+    ++stats_.messages_dropped_partition;
     dropped_at_send = true;
   } else if (!cut_links_.empty() && LinkCut(from, to)) {
-    ++shard.stats.messages_dropped_link;
+    ++stats_.messages_dropped_link;
     dropped_at_send = true;
   } else if (loss_rate_ > 0 && send_rng.Bernoulli(loss_rate_)) {
-    ++shard.stats.messages_dropped_loss;
+    ++stats_.messages_dropped_loss;
     dropped_at_send = true;
   }
   if (dropped_at_send) {
     if (lc != nullptr) ++lc->dropped_at_send;
-    if (shard.flight != nullptr) {
-      shard.flight->Record(sender_env->Now(), from,
-                           obs::FlightKind::kMsgSend, obs::kSendDroppedAtSend,
-                           type, to, static_cast<int64_t>(payload.size()));
+    if (flight_ != nullptr) {
+      flight_->Record(env_->Now(), from, obs::FlightKind::kMsgSend,
+                      obs::kSendDroppedAtSend, type, to,
+                      static_cast<int64_t>(payload.size()));
     }
     if (tap_) {
       tap_(env_->Now(), from, to, type, payload.size(),
            TapEvent::kDroppedAtSend);
     }
-    shard.pool.Release(std::move(payload));
+    pool_.Release(std::move(payload));
     return;
   }
   uint32_t seq = 0;
-  if (shard.flight != nullptr) {
-    seq = shard.flight->Record(sender_env->Now(), from,
-                               obs::FlightKind::kMsgSend, obs::kSendOk, type,
-                               to, static_cast<int64_t>(payload.size()));
+  if (flight_ != nullptr) {
+    seq = flight_->Record(env_->Now(), from, obs::FlightKind::kMsgSend,
+                          obs::kSendOk, type, to,
+                          static_cast<int64_t>(payload.size()));
   }
   if (tap_) tap_(env_->Now(), from, to, type, payload.size(), TapEvent::kSent);
 
   if (duplicate_rate_ > 0 && send_rng.Bernoulli(duplicate_rate_)) {
     // Inject a copy with an independently sampled latency; it races the
     // original and may arrive first (duplication implies reordering).
-    ++shard.stats.messages_duplicated;
+    ++stats_.messages_duplicated;
     if (lc != nullptr) ++lc->duplicated;
     // The copy pairs with its own send event (it fires its own delivery).
     uint32_t dup_seq = 0;
-    if (shard.flight != nullptr) {
-      dup_seq = shard.flight->Record(
-          sender_env->Now(), from, obs::FlightKind::kMsgSend,
-          obs::kSendDuplicated, type, to,
-          static_cast<int64_t>(payload.size()));
+    if (flight_ != nullptr) {
+      dup_seq = flight_->Record(env_->Now(), from, obs::FlightKind::kMsgSend,
+                                obs::kSendDuplicated, type, to,
+                                static_cast<int64_t>(payload.size()));
     }
-    std::vector<uint8_t> copy = shard.pool.Acquire();
+    std::vector<uint8_t> copy = pool_.Acquire();
     copy.assign(payload.begin(), payload.end());
     const Duration dup_latency = ScaledLatency(sender, receiver, send_rng);
     DispatchDelivery(sender, receiver, type, std::move(copy), dup_seq,
@@ -299,10 +249,8 @@ void Network::Crash(NodeId id) {
                  id, RegionName(n->region()));
   MarkCrashed(*n);
   // Crash handling is node code: anything it schedules keys on the node's
-  // causal stream, whether the crash came from the serial loop or a PDES
-  // barrier.
-  envs_[static_cast<size_t>(id)]->SetCurrentStream(static_cast<uint32_t>(id) +
-                                                   1);
+  // causal stream.
+  env_->SetCurrentStream(static_cast<uint32_t>(id) + 1);
   n->HandleCrash();
 }
 
@@ -313,8 +261,7 @@ void Network::Recover(NodeId id) {
                  FormatDuration(env_->Now()).c_str(), id,
                  RegionName(n->region()));
   MarkRecovered(*n);
-  envs_[static_cast<size_t>(id)]->SetCurrentStream(static_cast<uint32_t>(id) +
-                                                   1);
+  env_->SetCurrentStream(static_cast<uint32_t>(id) + 1);
   n->HandleRecover();
 }
 
@@ -341,13 +288,12 @@ void Network::ClearPartition() {
 
 uint64_t Network::ArmTimer(Node* n, Duration delay, uint64_t token) {
   const uint64_t epoch = Runtime::epoch(*n);
-  SimEnvironment* env = envs_[static_cast<size_t>(n->id())];
   // The timer id is the fire event's queue handle, so `DisarmTimer` can
   // remove the event; the closure is built knowing it. The network is
   // reached through the node's runtime pointer (not a captured `this`),
   // keeping the closure small and trivially copyable.
-  const uint64_t timer_id = env->ScheduleAtWithHandle(
-      env->Now() + std::max<Duration>(delay, 0),
+  const uint64_t timer_id = env_->ScheduleAtWithHandle(
+      env_->Now() + std::max<Duration>(delay, 0),
       [n, token, epoch](uint64_t id) {
         return [n, id, token, epoch]() {
           // Fire guard shared with the real backend (rt/node.h): dead,
@@ -356,11 +302,8 @@ uint64_t Network::ArmTimer(Node* n, Duration delay, uint64_t token) {
           Network* net = static_cast<Network*>(runtime_of(*n));
           // Timer fire is an entry into node code: key allocations inside
           // the handler belong to the node's causal stream.
-          const size_t idx = static_cast<size_t>(n->id());
-          net->envs_[idx]->SetCurrentStream(static_cast<uint32_t>(n->id()) +
-                                            1);
-          obs::EventLoopProfiler* prof =
-              net->shards_[net->shard_of_[idx]].profiler;
+          net->env_->SetCurrentStream(static_cast<uint32_t>(n->id()) + 1);
+          obs::EventLoopProfiler* prof = net->profiler_;
           if (prof == nullptr) {
             n->HandleTimer(token);
           } else {
@@ -374,15 +317,15 @@ uint64_t Network::ArmTimer(Node* n, Duration delay, uint64_t token) {
   return timer_id;
 }
 
-void Network::DisarmTimer(Node* n, uint64_t timer_id) {
-  envs_[static_cast<size_t>(n->id())]->Cancel(timer_id);
+void Network::DisarmTimer(Node* /*n*/, uint64_t timer_id) {
+  env_->Cancel(timer_id);
 }
 
 void Network::Send(Node* from, NodeId to, uint32_t type, const uint8_t* data,
                    size_t n) {
   // Copy the encoded bytes into a pooled buffer rather than allocating a
   // fresh vector per message; the network recycles it after delivery.
-  std::vector<uint8_t> buf = AcquireSendBuffer(from->id());
+  std::vector<uint8_t> buf = pool_.Acquire();
   buf.assign(data, data + n);
   Send(from->id(), to, type, std::move(buf));
 }

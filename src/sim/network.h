@@ -65,8 +65,6 @@ struct LinkCounters {
   uint64_t bytes = 0;  ///< payload bytes attempted on this link
 };
 
-class PdesCoordinator;
-
 /// \brief Simulated asynchronous geo-distributed network (§3.1's model:
 /// messages may be delayed, dropped, duplicated, or reordered; crash faults;
 /// partitions; asymmetric link cuts; delay storms).
@@ -75,15 +73,9 @@ class PdesCoordinator;
 /// `LatencyModel` for the sender/receiver region pair, then scaled by the
 /// global delay factor and any per-link factor. Partition groups cut all
 /// communication between groups. A link cut severs one direction only. Loss
-/// and duplication are Bernoulli per message.
-///
-/// Under conservative-window PDES (sim/pdes.h, DESIGN.md §11) the network's
-/// mutable hot state — stats, buffer pool, link counters, obs sinks — lives
-/// in per-partition *shards* so concurrent windows never share a cache line,
-/// and latency/loss/duplication draws come from per-sender RNG streams so
-/// the draw sequence depends only on each node's own send order, never on
-/// how partitions interleave. A serial cluster is the degenerate single-
-/// shard case and takes no extra branches on the send/deliver path.
+/// and duplication are Bernoulli per message. Latency, loss and duplication
+/// draws come from per-sender RNG streams, so each node's draw sequence
+/// depends only on its own send order.
 ///
 /// This is the simulator's implementation of the `rt::Runtime` seam
 /// (DESIGN.md §14); `rt::RealCluster` is the real-thread/socket one.
@@ -92,11 +84,7 @@ class Network : public rt::Runtime {
   Network(SimEnvironment* env, LatencyModel model);
 
   /// Registers a node; the node's id must equal its registration order.
-  /// Events for the node run on `env` (the primary environment for serial
-  /// clusters, its partition's environment under PDES) and its network-side
-  /// state lives in shard `shard`.
-  void Register(Node* node, SimEnvironment* env, uint32_t shard);
-  void Register(Node* node) { Register(node, env_, 0); }
+  void Register(Node* node);
 
   /// rt::Runtime transport entry (Node::Send): copies the encoded bytes
   /// into a pooled buffer and forwards to the id-based overload below.
@@ -164,91 +152,39 @@ class Network : public rt::Runtime {
   bool IsAlive(NodeId id) const;
 
   SimEnvironment* env() { return env_; }
-  /// The environment node `id`'s events run on: the primary environment for
-  /// serial clusters, the partition's under PDES.
-  SimEnvironment* EnvFor(NodeId id) const {
-    return envs_[static_cast<size_t>(id)];
-  }
-  LatencyModel* latency_model() { return &model_; }
 
-  /// Network-wide counters, summed across shards. Returned by value (the
-  /// per-shard counters are the source of truth); `const auto&` binding at
-  /// call sites still works via lifetime extension.
-  NetworkStats stats() const {
-    NetworkStats total = shards_[0].stats;
-    for (size_t i = 1; i < shards_.size(); ++i) {
-      const NetworkStats& s = shards_[i].stats;
-      total.messages_sent += s.messages_sent;
-      total.messages_delivered += s.messages_delivered;
-      total.messages_dropped_loss += s.messages_dropped_loss;
-      total.messages_dropped_partition += s.messages_dropped_partition;
-      total.messages_dropped_crashed += s.messages_dropped_crashed;
-      total.messages_dropped_link += s.messages_dropped_link;
-      total.messages_duplicated += s.messages_duplicated;
-      total.bytes_sent += s.bytes_sent;
-    }
-    return total;
-  }
+  const NetworkStats& stats() const { return stats_; }
 
-  /// Shard-0 buffer pool (the only pool for serial clusters).
-  BufferPool* buffer_pool() { return &shards_[0].pool; }
-
-  /// Acquires a send buffer from the sender's shard pool (Node::Send).
-  std::vector<uint8_t> AcquireSendBuffer(NodeId from) {
-    return shards_[shard_of_[static_cast<size_t>(from)]].pool.Acquire();
-  }
+  BufferPool* buffer_pool() { return &pool_; }
 
   /// Installs a message tap (analysis/debugging; pass nullptr to remove).
   void set_message_tap(MessageTap tap) { tap_ = std::move(tap); }
 
   /// Attaches observability components (DESIGN.md §8); any may be null.
   ///  - flight: records message send/delivery fates; each delivery carries
-  ///    its send's seq, pairing the two. Shard-local under PDES.
+  ///    its send's seq, pairing the two.
   ///  - metrics: enables per-directed-link `LinkCounters`.
   ///  - profiler: attributes handler wall-time by message type / timer.
   void set_observability(obs::FlightRecorder* flight,
                          obs::MetricsRegistry* metrics,
                          obs::EventLoopProfiler* profiler) {
-    shards_[0].flight = flight;
-    shards_[0].metrics = metrics;
-    shards_[0].profiler = profiler;
+    flight_ = flight;
+    metrics_ = metrics;
+    profiler_ = profiler;
   }
 
-  bool has_message_tap() const { return static_cast<bool>(tap_); }
-  obs::MetricsRegistry* metrics() const { return shards_[0].metrics; }
-  obs::FlightRecorder* flight() const { return shards_[0].flight; }
+  obs::MetricsRegistry* metrics() const { return metrics_; }
+  obs::FlightRecorder* flight() const { return flight_; }
 
-  /// Metrics registry a node should record into: its shard's registry under
-  /// PDES, the primary one otherwise. Null when metrics are off.
-  obs::MetricsRegistry* metrics_for(NodeId id) const override {
-    return shards_[shard_of_[static_cast<size_t>(id)]].metrics;
-  }
+  /// Every node records into the network's registry and recorder; null
+  /// when that component is off.
+  obs::MetricsRegistry* metrics_for(NodeId) const override { return metrics_; }
+  obs::FlightRecorder* flight_for(NodeId) const override { return flight_; }
 
-  /// Flight recorder a node should record into: its shard's recorder under
-  /// PDES, the primary one otherwise. Null when the recorder is off.
-  obs::FlightRecorder* flight_for(NodeId id) const override {
-    return shards_[shard_of_[static_cast<size_t>(id)]].flight;
-  }
-
-  /// Per-link counters keyed by `LinkKey`, merged across shards (each
-  /// directed link is counted by exactly one shard — the sender's for send-
-  /// side events, the receiver's for delivery — so merging just sums).
-  /// Empty unless a metrics registry is attached. Returned by value; decode
-  /// keys with `LinkKeyFrom` / `LinkKeyTo`.
-  std::unordered_map<uint64_t, LinkCounters> link_counters() const {
-    std::unordered_map<uint64_t, LinkCounters> total = shards_[0].link_counters;
-    for (size_t i = 1; i < shards_.size(); ++i) {
-      for (const auto& [key, lc] : shards_[i].link_counters) {
-        LinkCounters& t = total[key];
-        t.attempts += lc.attempts;
-        t.duplicated += lc.duplicated;
-        t.dropped_at_send += lc.dropped_at_send;
-        t.delivered += lc.delivered;
-        t.dropped_at_delivery += lc.dropped_at_delivery;
-        t.bytes += lc.bytes;
-      }
-    }
-    return total;
+  /// Per-link counters keyed by `LinkKey`. Empty unless a metrics registry
+  /// is attached. Decode keys with `LinkKeyFrom` / `LinkKeyTo`.
+  const std::unordered_map<uint64_t, LinkCounters>& link_counters() const {
+    return link_counters_;
   }
   static NodeId LinkKeyFrom(uint64_t key) {
     return static_cast<NodeId>(key >> 32) - 1;
@@ -264,44 +200,6 @@ class Network : public rt::Runtime {
   // node's queue, so it is never popped or counted.
   void DisarmTimer(Node* node, uint64_t timer_id) override;
 
-  // --- PDES wiring (sim/pdes.h) ---------------------------------------------
-
-  /// Splits hot state into `num_partitions` shards and routes cross-
-  /// partition sends through `coord`'s mailboxes. Called once by the
-  /// coordinator at finalize, before any message flows.
-  void EnablePdes(PdesCoordinator* coord, size_t num_partitions);
-
-  /// Serial fallback: re-points every node at the primary environment and
-  /// collapses shard routing to shard 0. Installed obs shard pointers stay
-  /// valid (the coordinator still merges them at run end).
-  void ForceSerial();
-
-  /// True iff the global factor or any per-link factor is below 1 — then
-  /// observed latency can undercut the model's base, which invalidates the
-  /// conservative-window lookahead.
-  bool AnyDelayFactorBelowOne() const {
-    if (delay_factor_ < 1.0) return true;
-    for (const auto& [key, factor] : link_delay_factor_) {
-      if (factor < 1.0) return true;
-    }
-    return false;
-  }
-
-  /// Installs partition `shard`'s obs sinks (coordinator-owned registries
-  /// that merge into the primary ones in partition order at run end).
-  void set_shard_observability(uint32_t shard, obs::MetricsRegistry* metrics,
-                               obs::EventLoopProfiler* profiler,
-                               obs::FlightRecorder* flight = nullptr) {
-    shards_[shard].metrics = metrics;
-    shards_[shard].profiler = profiler;
-    shards_[shard].flight = flight;
-  }
-
-  uint32_t shard_of(NodeId id) const {
-    return shard_of_[static_cast<size_t>(id)];
-  }
-  size_t num_shards() const { return shards_.size(); }
-
  private:
   static uint64_t LinkKey(NodeId from, NodeId to) {
     // +1 keeps the key nonzero for every valid (from, to) pair, since
@@ -310,25 +208,11 @@ class Network : public rt::Runtime {
            static_cast<uint64_t>(static_cast<uint32_t>(to + 1));
   }
 
-  /// Per-partition slice of the network's mutable hot state. Cache-line
-  /// aligned so concurrent partition windows never false-share. A serial
-  /// cluster has exactly one shard.
-  struct alignas(64) NetShard {
-    NetworkStats stats;
-    BufferPool pool;
-    std::unordered_map<uint64_t, LinkCounters> link_counters;
-    obs::MetricsRegistry* metrics = nullptr;
-    obs::EventLoopProfiler* profiler = nullptr;
-    obs::FlightRecorder* flight = nullptr;
-  };
-
   /// Samples link latency from `rng` (the sender's stream) and applies
   /// global and per-link delay factors.
   Duration ScaledLatency(Node* sender, Node* receiver, Rng& rng);
 
-  /// Schedules a delivery closure: locally when sender and receiver share a
-  /// partition, through the coordinator's mailboxes otherwise.
-  /// `seq` is the flight recorder's stamp on the send event (0 when the
+  /// Schedules a delivery closure on the event loop. `seq` is the flight recorder's stamp on the send event (0 when the
   /// recorder is off); it rides the delivery closure into `Deliver`.
   void DispatchDelivery(Node* sender, Node* receiver, uint32_t type,
                         std::vector<uint8_t> payload, uint32_t seq,
@@ -345,10 +229,6 @@ class Network : public rt::Runtime {
   SimEnvironment* env_;
   LatencyModel model_;
   std::vector<Node*> nodes_;
-  /// Per-node event environment (what `node->env_` was before the rt seam):
-  /// the primary environment for serial clusters, the partition's under
-  /// PDES. Indexed by node id, parallel to `nodes_`.
-  std::vector<SimEnvironment*> envs_;
   std::vector<int> partition_group_;  // per node; meaningful iff partitioned_
   bool partitioned_ = false;
   double loss_rate_ = 0.0;
@@ -358,12 +238,14 @@ class Network : public rt::Runtime {
   std::unordered_map<uint64_t, double> link_delay_factor_;
   Rng rng_;  ///< forking parent only; no per-message draws (see send_rngs_)
   /// Per-sender RNG streams for loss/duplication/latency draws. Draw order
-  /// depends only on the sender's own send sequence, which is what makes
-  /// parallel partition execution bit-identical to the serial loop.
+  /// depends only on the sender's own send sequence.
   std::vector<Rng> send_rngs_;
-  std::vector<uint32_t> shard_of_;  ///< per node; all 0 for serial clusters
-  std::vector<NetShard> shards_;    ///< size 1 until EnablePdes
-  PdesCoordinator* coord_ = nullptr;
+  NetworkStats stats_;
+  BufferPool pool_;
+  std::unordered_map<uint64_t, LinkCounters> link_counters_;
+  obs::MetricsRegistry* metrics_ = nullptr;
+  obs::EventLoopProfiler* profiler_ = nullptr;
+  obs::FlightRecorder* flight_ = nullptr;
   MessageTap tap_;
 };
 

@@ -4,13 +4,14 @@
 // properties are:
 //  - arming it changes nothing: run digests with the recorder on are
 //    bit-identical to runs with all observability off, under loss +
-//    duplication + isolation chaos, serial and PDES alike;
-//  - the canonical (at, site, seq) event order is identical between the
-//    serial loop and PDES shard-merged recorders (same Digest());
+//    duplication + isolation chaos;
+//  - two armed runs of the same seed record the same canonical
+//    (at, site, seq) history, event for event (same Digest());
 //  - the bounded ring accounts wraparound exactly (total / dropped /
 //    complete_from) instead of silently losing history;
 //  - a post-mortem bundle round-trips byte-identically through
-//    Write -> Load -> Write, hand-edited bad events fail to load, and
+//    Write -> Load -> Write, hand-edited bad events fail to load, bundles
+//    from older writers (with the retired "runtime" section) still load, and
 //    `DiffPostmortems` finds zero divergence between identical-seed runs but
 //    a first divergent event once a test-only mutation perturbs the
 //    protocol history;
@@ -22,6 +23,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -86,18 +88,15 @@ sim::FaultSchedule LossDupIsolationSchedule() {
 
 struct RunOut {
   Digest digest;
-  bool active = false;
-  std::string fallback;
   std::shared_ptr<obs::Observability> obs;
 };
 
-RunOut RunOnce(int workers, bool flight) {
+RunOut RunOnce(bool flight) {
   ExperimentOptions opts;
   opts.system = SystemKind::kSamyaMajority;
   opts.duration = Seconds(20);
   opts.max_tokens = 300;  // scarce enough to trigger redistributions
   opts.seed = 11;
-  opts.pdes_workers = workers;
   opts.fault_schedule = LossDupIsolationSchedule();
   opts.obs.flight_capacity = flight ? obs::FlightRecorder::kDefaultCapacity : 0;
   opts.site_template.enable_disconnected_mode = true;
@@ -111,15 +110,13 @@ RunOut RunOnce(int workers, bool flight) {
                       r.network.messages_duplicated, r.network.bytes_sent,
                       experiment.TotalSiteTokens(),
                       r.aggregate.latency.count());
-  out.active = experiment.pdes_active();
-  out.fallback = experiment.pdes_fallback_reason();
   out.obs = r.obs;
   return out;
 }
 
 TEST(FlightRecorderDeterminismTest, ArmedRunIsBitIdenticalToUnobserved) {
-  const RunOut off = RunOnce(/*workers=*/1, /*flight=*/false);
-  const RunOut on = RunOnce(/*workers=*/1, /*flight=*/true);
+  const RunOut off = RunOnce(/*flight=*/false);
+  const RunOut on = RunOnce(/*flight=*/true);
   EXPECT_EQ(off.digest, on.digest);
   ASSERT_NE(on.obs, nullptr);
   ASSERT_NE(on.obs->flight(), nullptr);
@@ -128,24 +125,16 @@ TEST(FlightRecorderDeterminismTest, ArmedRunIsBitIdenticalToUnobserved) {
   EXPECT_EQ(off.obs, nullptr);
 }
 
-TEST(FlightRecorderDeterminismTest, PdesMatchesSerialHistoryExactly) {
-  const RunOut serial = RunOnce(/*workers=*/1, /*flight=*/true);
-  ASSERT_NE(serial.obs->flight(), nullptr);
-  const std::vector<obs::FlightEvent> serial_events =
-      serial.obs->flight()->Canonical();
-  ASSERT_FALSE(serial_events.empty());
-  for (int workers : {2, 4}) {
-    const RunOut par = RunOnce(workers, /*flight=*/true);
-    EXPECT_TRUE(par.active) << "workers=" << workers << ": " << par.fallback;
-    EXPECT_EQ(par.digest, serial.digest) << "workers=" << workers;
-    ASSERT_NE(par.obs->flight(), nullptr);
-    // Shard recorders merged at FinishRun must reproduce the serial
-    // history event for event, and therefore digest for digest.
-    EXPECT_EQ(par.obs->flight()->Digest(), serial.obs->flight()->Digest())
-        << "workers=" << workers;
-    EXPECT_EQ(par.obs->flight()->Canonical(), serial_events)
-        << "workers=" << workers;
-  }
+TEST(FlightRecorderDeterminismTest, ArmedRunsRepeatEventForEvent) {
+  const RunOut a = RunOnce(/*flight=*/true);
+  const RunOut b = RunOnce(/*flight=*/true);
+  ASSERT_NE(a.obs->flight(), nullptr);
+  ASSERT_NE(b.obs->flight(), nullptr);
+  const std::vector<obs::FlightEvent> events = a.obs->flight()->Canonical();
+  ASSERT_FALSE(events.empty());
+  EXPECT_EQ(a.digest, b.digest);
+  EXPECT_EQ(b.obs->flight()->Canonical(), events);
+  EXPECT_EQ(b.obs->flight()->Digest(), a.obs->flight()->Digest());
 }
 
 TEST(FlightRecorderTest, RingWraparoundAccounting) {
@@ -449,6 +438,69 @@ TEST_F(PostmortemRoundTripTest, MutatedRunDiffReportsFirstDivergentEvent) {
   ASSERT_TRUE(d.diverged);
   EXPECT_FALSE(d.event_a.empty());
   EXPECT_FALSE(d.event_b.empty());
+}
+
+/// Every bundle in the tree: the legacy fixtures under testdata/, plus any
+/// `*_postmortem.json` that a replay left next to a corpus case.
+std::vector<std::filesystem::path> CommittedBundles() {
+  std::vector<std::filesystem::path> out;
+  const auto add = [&out](const char* dir, const std::string& suffix) {
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      const std::string name = entry.path().filename().string();
+      if (name.size() >= suffix.size() &&
+          name.compare(name.size() - suffix.size(), suffix.size(), suffix) ==
+              0) {
+        out.push_back(entry.path());
+      }
+    }
+  };
+  add(FLIGHT_TESTDATA_DIR, ".json");
+  add(CHAOS_CORPUS_DIR, "_postmortem.json");
+  add(SCHEDULE_CORPUS_DIR, "_postmortem.json");
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// Older writers emitted a "runtime" flight section; bundles carrying it
+// must still load, decode and round-trip unchanged.
+TEST_F(PostmortemRoundTripTest, CommittedBundlesStillLoad) {
+  const std::vector<std::filesystem::path> bundles = CommittedBundles();
+  ASSERT_FALSE(bundles.empty());
+  bool saw_legacy_runtime = false;
+  for (const auto& path : bundles) {
+    SCOPED_TRACE(path.filename().string());
+    auto loaded = LoadPostmortem(path.string());
+    ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+    auto events = FlightEventsOf(loaded.value());
+    ASSERT_TRUE(events.ok()) << events.status().message();
+    EXPECT_FALSE(events.value().empty());
+    if (loaded.value().flight.Find("runtime") != nullptr) {
+      saw_legacy_runtime = true;
+    }
+    const std::string p1 = (dir_ / "rewrite1.json").string();
+    const std::string p2 = (dir_ / "rewrite2.json").string();
+    ASSERT_TRUE(WritePostmortem(loaded.value(), p1).ok());
+    auto reloaded = LoadPostmortem(p1);
+    ASSERT_TRUE(reloaded.ok()) << reloaded.status().message();
+    ASSERT_TRUE(WritePostmortem(reloaded.value(), p2).ok());
+    const std::string rewritten = Slurp(p1);
+    EXPECT_EQ(rewritten, Slurp(p2));
+    EXPECT_EQ(rewritten, Slurp(path.string()));
+  }
+  EXPECT_TRUE(saw_legacy_runtime);
+
+  // A freshly written bundle has no runtime section.
+  obs::FlightRecorder rec;
+  rec.Record(100, /*site=*/0, obs::FlightKind::kPhase, obs::kPhaseEngage, 1);
+  PostmortemBundle fresh;
+  fresh.source = "test";
+  fresh.flight = rec.ToJson();
+  const std::string path = (dir_ / "fresh.json").string();
+  ASSERT_TRUE(WritePostmortem(fresh, path).ok());
+  auto loaded = LoadPostmortem(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+  EXPECT_EQ(loaded.value().flight.Find("runtime"), nullptr);
+  EXPECT_EQ(Slurp(path).find("\"runtime\""), std::string::npos);
 }
 
 }  // namespace

@@ -52,22 +52,6 @@ TEST(EventLoopProfilerTest, OutOfRangeTypeLandsInOverflowSlot) {
   EXPECT_EQ(by_type->as_array()[0].GetInt("count", -1), 1);
 }
 
-TEST(EventLoopProfilerTest, MergeFolds) {
-  EventLoopProfiler a;
-  EventLoopProfiler b;
-  a.AccountEvent(100);
-  b.AccountEvent(50);
-  a.AccountMessage(10, 20);
-  b.AccountMessage(10, 30);
-  b.AccountTimer(5);
-  a.Merge(b);
-  EXPECT_EQ(a.events(), 2u);
-  EXPECT_EQ(a.loop_ns(), 150);
-  const JsonValue j = a.ToJson();
-  EXPECT_EQ(j.GetInt("timer_count", -1), 1);
-  EXPECT_EQ(j.Find("by_type")->as_array()[0].GetInt("ns", -1), 50);
-}
-
 TEST(EventLoopProfilerTest, ReportNamesHandlers) {
   EventLoopProfiler p;
   p.AccountEvent(1000000);

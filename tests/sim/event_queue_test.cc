@@ -184,80 +184,6 @@ TEST(EventQueueTest, CollectMessagesSkipsTimersAndLateEvents) {
   EXPECT_EQ(pending[0].seq + pending[1].seq, 3u);  // seqs 1 and 2, any order
 }
 
-TEST(EventQueueTest, ExtractUntilDrainsInOrderAndStopsAtHorizon) {
-  EventQueue q;
-  q.Push(30, 5, [] {});
-  q.Push(10, 2, [] {});
-  q.Push(20, 3, [] {});
-  q.Push(10, 1, [] {});
-  q.Push(40, 6, [] {});
-  std::vector<Event> out;
-  q.ExtractUntil(20, &out);
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_EQ(out[0].seq, 1u);
-  EXPECT_EQ(out[1].seq, 2u);
-  EXPECT_EQ(out[2].seq, 3u);
-  EXPECT_EQ(q.size(), 2u);
-  EXPECT_EQ(q.NextTime(), 30);
-}
-
-TEST(EventQueueTest, PushBatchMatchesIndividualPushes) {
-  // Two queues fed the same events — one via Push, one via a PushBatch of
-  // deliberately shuffled entries — must pop identically: the heap, not the
-  // batch order, imposes (time, seq).
-  EventQueue individual, batched;
-  std::vector<Event> batch;
-  Rng rng(5);
-  uint64_t seq = 0;
-  for (int i = 0; i < 500; ++i) {
-    const SimTime t = rng.UniformInt(0, 40);
-    individual.Push(t, seq, [] {});
-    batch.push_back(Event{t, seq, SimCallback([] {})});
-    ++seq;
-  }
-  for (int i = 0; i < 500; ++i) {  // deterministic shuffle
-    std::swap(batch[static_cast<size_t>(i)],
-              batch[static_cast<size_t>(rng.UniformInt(0, 499))]);
-  }
-  batched.PushBatch(&batch);
-  EXPECT_TRUE(batch.empty());
-  while (!individual.empty()) {
-    ASSERT_FALSE(batched.empty());
-    const Event a = individual.Pop();
-    const Event b = batched.Pop();
-    EXPECT_EQ(a.time, b.time);
-    EXPECT_EQ(a.seq, b.seq);
-  }
-  EXPECT_TRUE(batched.empty());
-}
-
-TEST(EventQueueTest, BulkRoundTripPreservesTieBreaksAcrossSlotRecycling) {
-  // Heavy same-time ties, cycled through extract/push-batch several times
-  // with interleaved pops so slots recycle: the (time, seq) order must be
-  // exactly the order of a queue that never did bulk ops.
-  EventQueue q;
-  uint64_t seq = 0;
-  for (int i = 0; i < 64; ++i) q.Push(i % 4, seq++, [] {});
-  for (int round = 0; round < 3; ++round) {
-    // Pop a few (recycles slots), then extract everything and re-inject.
-    for (int i = 0; i < 5 && !q.empty(); ++i) q.Pop();
-    std::vector<Event> out;
-    q.ExtractUntil(1000, &out);
-    EXPECT_TRUE(q.empty());
-    q.PushBatch(&out);
-    for (int i = 0; i < 8; ++i) q.Push(2, seq++, [] {});
-  }
-  SimTime prev_time = -1;
-  uint64_t prev_seq = 0;
-  while (!q.empty()) {
-    const Event e = q.Pop();
-    ASSERT_GE(e.time, prev_time);
-    if (e.time == prev_time) ASSERT_GT(e.seq, prev_seq);
-    prev_time = e.time;
-    prev_seq = e.seq;
-  }
-}
-
 TEST(EventQueueTest, RandomizedOrderingProperty) {
   Rng rng(21);
   EventQueue q;
@@ -313,30 +239,6 @@ TEST(EventQueueTest, CancelTopInteriorAndStaleHandles) {
   EXPECT_EQ(q.Pop().seq, 6u);
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.dead_keys(), 0u);
-}
-
-// Events re-homed into a queue (`AdoptBatch`) carry handles minted by the
-// queue they left; those stay cancellable by key, and stale ones stay
-// no-ops.
-TEST(EventQueueTest, AdoptedHandlesStayCancellable) {
-  EventQueue from;
-  std::vector<uint64_t> handles;
-  for (uint64_t seq = 1; seq <= 6; ++seq) {
-    handles.push_back(from.Push(static_cast<SimTime>(seq * 10), seq, [] {}));
-  }
-  EventQueue to;
-  to.Push(5, 100, [] {});  // occupies slot 1, which the old handles also name
-  std::vector<Event> moved;
-  from.ExtractUntil(1000, &moved);
-  to.AdoptBatch(&moved);
-  EXPECT_TRUE(to.Cancel(handles[2]));   // seq 3
-  EXPECT_FALSE(to.Cancel(handles[2]));  // double cancel
-  EXPECT_EQ(to.Pop().seq, 100u);
-  EXPECT_EQ(to.Pop().seq, 1u);
-  EXPECT_FALSE(to.Cancel(handles[0]));  // seq 1 already popped
-  std::vector<uint64_t> order;
-  while (!to.empty()) order.push_back(to.Pop().seq);
-  EXPECT_EQ(order, (std::vector<uint64_t>{2, 4, 5, 6}));
 }
 
 // Differential test: push, pop, PopByKey and Cancel, randomly interleaved,

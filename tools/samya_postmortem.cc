@@ -39,7 +39,7 @@
 //   samya_postmortem capture --case tests/integration/chaos_corpus/x.json
 //   samya_postmortem capture --system samya_any --duration-s 60 --out b.json
 //   samya_postmortem report /tmp/corpus/chaos_..._postmortem.json --last 40
-//   samya_postmortem diff serial_postmortem.json pdes_postmortem.json
+//   samya_postmortem diff clean_postmortem.json mutated_postmortem.json
 
 #include <cerrno>
 #include <cstdio>
