@@ -23,13 +23,12 @@
 #include <cstring>
 #include <string>
 
-#include "bench_util.h"
 #include "common/json.h"
 #include "harness/chaos.h"
 #include "harness/invariant_auditor.h"
+#include "harness/parallel_runner.h"
 
 using namespace samya;           // NOLINT
-using namespace samya::bench;    // NOLINT
 using namespace samya::harness;  // NOLINT
 
 namespace {
@@ -68,12 +67,19 @@ JsonValue ThroughputSection(const Shape& shape) {
     opts.max_tokens = shape.throughput_tokens;
     sweep.push_back(opts);
   }
-  const auto results = RunSweep(std::move(sweep));
+  const auto results = RunAll(std::move(sweep));
 
   JsonValue rows = JsonValue::MakeArray();
   for (size_t i = 0; i < results.size(); ++i) {
     const ExperimentResult& r = results[i];
-    PrintSummaryRow(SystemName(systems[i]), r, shape.throughput_window);
+    std::printf(
+        "%-38s %9.1f tps  committed=%-8llu rejected=%-7llu p50=%7.2fms "
+        "p90=%8.2fms p99=%8.2fms\n",
+        SystemName(systems[i]), r.MeanTps(shape.throughput_window),
+        static_cast<unsigned long long>(r.aggregate.TotalCommitted()),
+        static_cast<unsigned long long>(r.aggregate.rejected),
+        r.aggregate.latency.P50() / 1000.0, r.aggregate.latency.P90() / 1000.0,
+        r.aggregate.latency.P99() / 1000.0);
     JsonValue o = JsonValue::MakeObject();
     o.Set("system", SystemIdName(systems[i]));
     o.Set("tps", r.MeanTps(shape.throughput_window));
@@ -207,9 +213,10 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
   }
   const Shape& shape = smoke ? kSmoke : kFull;
-  Banner("bench_bounded_counter",
-         smoke ? "BoundedCounter CRDT vs Samya (smoke)"
-               : "BoundedCounter CRDT vs Samya: throughput + disconnection");
+  std::printf("bench_bounded_counter — %s\n",
+              smoke ? "BoundedCounter CRDT vs Samya (smoke)"
+                    : "BoundedCounter CRDT vs Samya: throughput + "
+                      "disconnection");
 
   JsonValue throughput = ThroughputSection(shape);
 

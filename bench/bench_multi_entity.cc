@@ -24,12 +24,11 @@
 #include <cstring>
 #include <string>
 
-#include "bench_util.h"
 #include "common/json.h"
 #include "harness/multi_entity.h"
+#include "harness/parallel_runner.h"
 
 using namespace samya;           // NOLINT
-using namespace samya::bench;    // NOLINT
 using namespace samya::harness;  // NOLINT
 
 namespace {
@@ -177,10 +176,10 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
   }
-  Banner("bench_multi_entity",
-         smoke ? "multi-entity scale-out (smoke: E=10 equivalence)"
-               : "multi-entity scale-out: E x users sweep, sharding, "
-                 "batching");
+  std::printf("bench_multi_entity — %s\n",
+              smoke ? "multi-entity scale-out (smoke: E=10 equivalence)"
+                    : "multi-entity scale-out: E x users sweep, sharding, "
+                      "batching");
 
   JsonValue equivalence;
   const bool identical = CheckEquivalence(&equivalence);

@@ -25,11 +25,9 @@
 #include <cstdio>
 #include <cstring>
 
-#include "bench_util.h"
 #include "harness/parallel_runner.h"
 
 using namespace samya;          // NOLINT
-using namespace samya::bench;   // NOLINT
 using namespace samya::harness; // NOLINT
 
 namespace {
@@ -79,7 +77,8 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
   }
-  Banner("micro_simperf", "simulator hot-path events/sec + sweep speedup");
+  std::printf("micro_simperf — simulator hot-path events/sec + sweep "
+              "speedup\n");
   if (smoke) std::printf("[--smoke: 2 simulated minutes, 1 rep]\n");
 
   // --- canonical single run, best of five (one under --smoke) ------------
@@ -87,7 +86,9 @@ int main(int argc, char** argv) {
   uint64_t events = 0, messages = 0, committed = 0;
   for (int rep = 0; rep < (smoke ? 1 : 5); ++rep) {
     const auto t0 = std::chrono::steady_clock::now();
-    auto r = RunSystem(CanonicalOptions(smoke));
+    Experiment experiment(CanonicalOptions(smoke));
+    experiment.Setup();
+    const ExperimentResult r = experiment.Run();
     const auto t1 = std::chrono::steady_clock::now();
     const double wall = Seconds(t0, t1);
     std::printf("canonical run %d: %.3fs  (%.0f events/sec)\n", rep + 1, wall,

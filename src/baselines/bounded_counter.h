@@ -69,8 +69,8 @@ struct BoundedCounterStats {
 /// a stale view while the site's own debits are exact, local rights are a
 /// safe lower bound: acquires against them can never drive the global value
 /// negative, with no coordination round at all — the contrast with Samya's
-/// Avantan (consensus per redistribution) and with SiteEscrow (pairwise RPC
-/// transfers against a scalar gossip view).
+/// Avantan (consensus per redistribution) and with the Demarcation baseline
+/// (borrowing that assumes a reliable network).
 ///
 /// Transfers are peer-to-peer: a dry site asks the peer with the most
 /// visible rights; the donor debits `out[donor][asker]` *and persists* before
@@ -161,7 +161,7 @@ class BoundedCounterSite : public rt::Node {
   bool disconnected_ = false;
   SimTime last_heard_ = 0;
 
-  // Transfer round state (one at a time), as in SiteEscrowSite.
+  // Transfer round state (one round at a time).
   bool transferring_ = false;
   int64_t needed_ = 0;
   std::vector<size_t> candidates_;  ///< slots, richest-first, not yet asked

@@ -21,7 +21,6 @@ constexpr SystemIdEntry kSystemIds[] = {
     {"multipaxsys", SystemKind::kMultiPaxSys},
     {"cockroach_like", SystemKind::kCockroachLike},
     {"demarcation", SystemKind::kDemarcation},
-    {"site_escrow", SystemKind::kSiteEscrow},
     {"samya_no_constraint", SystemKind::kSamyaNoConstraint},
     {"samya_no_redistribution", SystemKind::kSamyaNoRedistribution},
     {"samya_majority_no_predict", SystemKind::kSamyaMajorityNoPredict},

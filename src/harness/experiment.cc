@@ -4,7 +4,6 @@
 #include <cstdio>
 
 #include "baselines/demarcation.h"
-#include "baselines/site_escrow.h"
 #include "baselines/replicated.h"
 #include "common/logging.h"
 #include "common/macros.h"
@@ -33,8 +32,6 @@ const char* SystemName(SystemKind kind) {
       return "CockroachDB-like (Raft)";
     case SystemKind::kDemarcation:
       return "Demarcation/Escrow";
-    case SystemKind::kSiteEscrow:
-      return "Generalised Site Escrow (gossip)";
     case SystemKind::kSamyaNoConstraint:
       return "Samya (no constraints)";
     case SystemKind::kSamyaNoRedistribution:
@@ -54,7 +51,6 @@ bool IsSamyaVariant(SystemKind kind) {
     case SystemKind::kMultiPaxSys:
     case SystemKind::kCockroachLike:
     case SystemKind::kDemarcation:
-    case SystemKind::kSiteEscrow:
     case SystemKind::kBoundedCounter:
       return false;
     default:
@@ -124,8 +120,7 @@ void Experiment::Setup() {
     cluster_->env().set_profiler(obs_->profiler());
   }
 
-  if (opts_.system == SystemKind::kDemarcation ||
-      opts_.system == SystemKind::kSiteEscrow) {
+  if (opts_.system == SystemKind::kDemarcation) {
     SetupDemarcation();
   } else if (opts_.system == SystemKind::kBoundedCounter) {
     SetupBoundedCounter();
@@ -255,19 +250,11 @@ void Experiment::SetupDemarcation() {
   std::vector<sim::NodeId> site_ids;
   for (int i = 0; i < n; ++i) site_ids.push_back(i);
   for (int i = 0; i < n; ++i) {
-    if (opts_.system == SystemKind::kSiteEscrow) {
-      baselines::SiteEscrowOptions sopts;
-      sopts.sites = site_ids;
-      sopts.initial_tokens = InitialSiteTokens(opts_.max_tokens, n, i);
-      cluster_->AddNode<baselines::SiteEscrowSite>(
-          kClientRegions[static_cast<size_t>(i % 5)], sopts);
-    } else {
-      baselines::DemarcationOptions dopts;
-      dopts.sites = site_ids;
-      dopts.initial_tokens = InitialSiteTokens(opts_.max_tokens, n, i);
-      cluster_->AddNode<baselines::DemarcationSite>(
-          kClientRegions[static_cast<size_t>(i % 5)], dopts);
-    }
+    baselines::DemarcationOptions dopts;
+    dopts.sites = site_ids;
+    dopts.initial_tokens = InitialSiteTokens(opts_.max_tokens, n, i);
+    cluster_->AddNode<baselines::DemarcationSite>(
+        kClientRegions[static_cast<size_t>(i % 5)], dopts);
     server_ids_.push_back(site_ids[static_cast<size_t>(i)]);
   }
   std::vector<std::vector<sim::NodeId>> am_per_region(5);

@@ -28,7 +28,6 @@ enum class SystemKind {
   kMultiPaxSys,              ///< leader-based multi-Paxos baseline
   kCockroachLike,            ///< Raft-based baseline (CockroachDB stand-in)
   kDemarcation,              ///< Demarcation/Escrow baseline
-  kSiteEscrow,               ///< Generalised Site Escrow (gossip) baseline
   kSamyaNoConstraint,        ///< Fig 3e upper bound: no limit, no sync
   kSamyaNoRedistribution,    ///< Fig 3e: constraint but never redistribute
   kSamyaMajorityNoPredict,   ///< Fig 3f: reactive-only Avantan[(n+1)/2]

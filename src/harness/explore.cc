@@ -187,7 +187,6 @@ bool CheckPresetFor(SystemKind kind, int64_t max_tokens, CheckOptions* out) {
       *out = CheckOptions::Replicated(max_tokens);
       return true;
     case SystemKind::kDemarcation:
-    case SystemKind::kSiteEscrow:
     case SystemKind::kBoundedCounter:
       *out = CheckOptions::Bounded(max_tokens);
       return true;

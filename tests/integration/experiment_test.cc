@@ -18,7 +18,7 @@ TEST(ExperimentTest, EverySystemCommitsTransactions) {
   for (SystemKind system :
        {SystemKind::kSamyaMajority, SystemKind::kSamyaAny,
         SystemKind::kMultiPaxSys, SystemKind::kCockroachLike,
-        SystemKind::kDemarcation, SystemKind::kSiteEscrow,
+        SystemKind::kDemarcation,
         SystemKind::kSamyaNoConstraint,
         SystemKind::kSamyaNoRedistribution,
         SystemKind::kSamyaMajorityNoPredict, SystemKind::kSamyaAnyNoPredict}) {

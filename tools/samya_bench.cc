@@ -8,7 +8,7 @@
 //               [--read-ratio F] [--seed N] [--closed-loop] [--csv]
 //
 // Systems: samya-majority (default), samya-any, multipaxsys, cockroach,
-//          demarcation, site-escrow, no-constraint, no-redistribution,
+//          demarcation, no-constraint, no-redistribution,
 //          samya-majority-nopredict, samya-any-nopredict
 //
 // Examples:
@@ -39,7 +39,6 @@ constexpr NamedSystem kSystems[] = {
     {"multipaxsys", SystemKind::kMultiPaxSys},
     {"cockroach", SystemKind::kCockroachLike},
     {"demarcation", SystemKind::kDemarcation},
-    {"site-escrow", SystemKind::kSiteEscrow},
     {"no-constraint", SystemKind::kSamyaNoConstraint},
     {"no-redistribution", SystemKind::kSamyaNoRedistribution},
     {"samya-majority-nopredict", SystemKind::kSamyaMajorityNoPredict},

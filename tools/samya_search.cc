@@ -90,7 +90,7 @@ void Usage() {
       "  replay:  --case FILE\n"
       "systems: samya_majority samya_any samya_majority_no_predict\n"
       "         samya_any_no_predict multipaxsys cockroach_like demarcation\n"
-      "         site_escrow bounded_counter ...  schedulers: fifo random pct\n"
+      "         bounded_counter ...  schedulers: fifo random pct\n"
       "--isolate W adds W site-isolation waves (x intensity) per schedule;\n"
       "--disconnected arms Samya's degraded mode so isolated sites keep\n"
       "serving from their local pool behind a durable op-log.\n");
