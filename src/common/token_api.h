@@ -25,11 +25,8 @@ namespace samya {
 
 inline constexpr uint32_t kMsgTokenRequest = 10;
 inline constexpr uint32_t kMsgTokenResponse = 11;
-/// Batched form of kMsgTokenRequest (app manager -> site, DESIGN.md §9):
-/// [varint count][count x encoded TokenRequest]. The receiver serves each
-/// contained request exactly as if it had arrived alone — per-request
-/// replies, queueing, and at-most-once dedup all apply unchanged — so
-/// batching only amortizes the message count, never changes semantics.
+/// Retired: the app manager's batched request form. No node sends it and a
+/// site drops it as an unknown type; the number stays reserved, do not reuse.
 inline constexpr uint32_t kMsgTokenBatchRequest = 12;
 
 /// The paper's transaction types (§3.2) plus the read-only global-snapshot

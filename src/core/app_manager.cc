@@ -11,7 +11,6 @@ AppManager::AppManager(rt::NodeId id, rt::Region region,
     : Node(id, region), opts_(std::move(opts)) {
   SAMYA_CHECK(!opts_.sites.empty());
   inflight_.reserve(256);
-  if (opts_.batch_requests) batch_pending_.resize(opts_.sites.size());
 }
 
 void AppManager::HandleMessage(rt::NodeId from, uint32_t type,
@@ -29,15 +28,9 @@ void AppManager::HandleMessage(rt::NodeId from, uint32_t type,
     if (opts_.rotate_over > 1) {
       entry.site_index = rotation_++ % opts_.rotate_over;
     }
-    // Insert before relaying: a full batch flushes inside EnqueueInBatch and
-    // reads the request bytes back out of the routing table.
     Inflight& slot = inflight_[req->request_id];
     slot = std::move(entry);
-    if (opts_.batch_requests) {
-      EnqueueInBatch(req->request_id, slot);
-    } else {
-      RelayTo(req->request_id, slot);
-    }
+    RelayTo(req->request_id, slot);
     return;
   }
   SAMYA_CHECK_EQ(type, kMsgTokenResponse);
@@ -81,51 +74,7 @@ void AppManager::RelayTo(uint64_t request_id, Inflight& entry) {
   entry.timer = SetTimer(AttemptTimeout(entry), request_id);
 }
 
-void AppManager::EnqueueInBatch(uint64_t request_id, Inflight& entry) {
-  const size_t site_index = entry.site_index % opts_.sites.size();
-  ++entry.attempts;
-  ++relayed_;
-  // The per-request timeout covers the worst case of sitting out the whole
-  // window, so a request can never time out while still in a pending batch.
-  entry.timer =
-      SetTimer(opts_.site_timeout + opts_.batch_window, request_id);
-  std::vector<uint64_t>& pending = batch_pending_[site_index];
-  pending.push_back(request_id);
-  if (pending.size() >= opts_.max_batch) {
-    FlushBatch(site_index);
-  } else if (pending.size() == 1) {
-    SetTimer(opts_.batch_window, kBatchTimerBit | site_index);
-  }
-}
-
-void AppManager::FlushBatch(size_t site_index) {
-  std::vector<uint64_t>& pending = batch_pending_[site_index];
-  if (pending.empty()) return;  // crash cleared it; stale flush timer
-  size_t live = 0;
-  for (uint64_t id : pending) live += inflight_.count(id);
-  if (live == 0) {
-    pending.clear();
-    return;
-  }
-  send_scratch_.Clear();
-  send_scratch_.PutVarint(live);
-  for (uint64_t id : pending) {
-    auto it = inflight_.find(id);
-    if (it == inflight_.end()) continue;
-    const std::vector<uint8_t>& bytes = it->second.request;
-    send_scratch_.PutBytes(bytes.data(), bytes.size());
-  }
-  Send(opts_.sites[site_index], kMsgTokenBatchRequest, send_scratch_);
-  ++batches_sent_;
-  batched_requests_ += live;
-  pending.clear();
-}
-
 void AppManager::HandleTimer(uint64_t token) {
-  if ((token & kBatchTimerBit) != 0) {
-    FlushBatch(static_cast<size_t>(token & ~kBatchTimerBit));
-    return;
-  }
   auto it = inflight_.find(token);
   if (it == inflight_.end()) return;
   Inflight& entry = it->second;

@@ -31,18 +31,6 @@ struct AppManagerOptions {
   /// Load balancing: rotate fresh requests over the first `rotate_over`
   /// sites (the same-region replicas in the Fig 3g scalability setup).
   size_t rotate_over = 1;
-
-  /// Client-side request batching (DESIGN.md §9): coalesce token requests
-  /// bound for the same site that arrive within `batch_window` into one
-  /// kMsgTokenBatchRequest, so the per-message cost amortizes over the batch
-  /// at high client fan-in. Requires sites that speak the batch message
-  /// (core::Site does; the baselines do not). Per-request reply semantics,
-  /// failover, and at-most-once dedup are unchanged: every request keeps its
-  /// own routing entry and timeout, and failover resends individually.
-  bool batch_requests = false;
-  Duration batch_window = Millis(2);
-  /// A full batch flushes immediately without waiting out the window.
-  size_t max_batch = 128;
 };
 
 /// \brief Stateless application manager (§3.1): relays client token requests
@@ -58,14 +46,9 @@ class AppManager : public rt::Node {
   void HandleMessage(rt::NodeId from, uint32_t type,
                      BufferReader& r) override;
   void HandleTimer(uint64_t token) override;
-  void HandleCrash() override {
-    inflight_.clear();
-    for (auto& pending : batch_pending_) pending.clear();
-  }
+  void HandleCrash() override { inflight_.clear(); }
 
   uint64_t relayed() const { return relayed_; }
-  uint64_t batches_sent() const { return batches_sent_; }
-  uint64_t batched_requests() const { return batched_requests_; }
   /// Timed-out relays re-sent to a failover site (attempts past the first).
   uint64_t failover_resends() const { return failover_resends_; }
 
@@ -86,8 +69,6 @@ class AppManager : public rt::Node {
   };
 
   void RelayTo(uint64_t request_id, Inflight& entry);
-  void EnqueueInBatch(uint64_t request_id, Inflight& entry);
-  void FlushBatch(size_t site_index);
   /// Timeout for the attempt just recorded in `entry.attempts`.
   Duration AttemptTimeout(const Inflight& entry);
 
@@ -99,13 +80,6 @@ class AppManager : public rt::Node {
   uint64_t relayed_ = 0;
   uint64_t failover_resends_ = 0;
   size_t rotation_ = 0;
-  // Per-site pending batches (request ids awaiting the window flush). Client
-  // request ids are (client_id << 40) + seq, so bit 63 is free to namespace
-  // the per-site flush timers away from per-request timeout timers.
-  static constexpr uint64_t kBatchTimerBit = 1ull << 63;
-  std::vector<std::vector<uint64_t>> batch_pending_;
-  uint64_t batches_sent_ = 0;
-  uint64_t batched_requests_ = 0;
   // Reused for every response forwarded back to a client; `Send` copies the
   // bytes out synchronously, so one scratch writer per manager is safe.
   BufferWriter send_scratch_;

@@ -322,19 +322,6 @@ void Site::HandleMessage(rt::NodeId from, uint32_t type, BufferReader& r) {
     case kMsgTokenRequest:
       OnClientRequest(from, r);
       break;
-    case kMsgTokenBatchRequest: {
-      // An app manager coalesced same-site requests into one message. Serve
-      // each exactly as if it had arrived alone: per-request replies, queue
-      // freezes, and at-most-once dedup all run per contained request. A
-      // failed inner decode abandons the rest of the batch: the reader is
-      // mid-field, so every later byte would be misparsed.
-      auto count = r.GetVarint();
-      if (!count.ok()) break;
-      for (uint64_t i = 0; i < *count; ++i) {
-        if (!OnClientRequest(from, r)) break;
-      }
-      break;
-    }
     // Avantan / read traffic: decode through Result and drop corrupt frames.
     // Each DecodeFrom builds the message on the stack and only then is the
     // handler entered, so a truncated payload mutates no site state.
@@ -422,21 +409,21 @@ void Site::HandleMessage(rt::NodeId from, uint32_t type, BufferReader& r) {
   }
 }
 
-bool Site::OnClientRequest(rt::NodeId from, BufferReader& r) {
+void Site::OnClientRequest(rt::NodeId from, BufferReader& r) {
   auto req = TokenRequest::DecodeFrom(r);
-  if (!req.ok()) return false;
+  if (!req.ok()) return;
   if (req->op != TokenOp::kRead && req->amount <= 0) {
     Respond(from, req->request_id, TokenStatus::kRejected, tokens_left_);
-    return true;
+    return;
   }
   if (req->op != TokenOp::kRead) {
     if (const int64_t* cached = LookupWrite(req->request_id)) {
       Respond(from, req->request_id, TokenStatus::kCommitted, *cached);
-      return true;
+      return;
     }
     // A retry of a request that is still queued: stay silent; the queued
     // copy will answer when it drains.
-    if (queued_ids_.count(req->request_id) > 0) return true;
+    if (queued_ids_.count(req->request_id) > 0) return;
   }
   if (req->op == TokenOp::kAcquire) {
     demand_this_epoch_ += static_cast<double>(req->amount);
@@ -447,10 +434,9 @@ bool Site::OnClientRequest(rt::NodeId from, BufferReader& r) {
     queued_ids_.insert(req->request_id);
     ++stats_.requests_queued;
     RecordRequestWait(obs::kRequestQueued, *req);
-    return true;
+    return;
   }
   ServeOrQueue(from, *req);
-  return true;
 }
 
 void Site::ServeOrQueue(rt::NodeId client, const TokenRequest& req) {

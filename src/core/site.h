@@ -205,9 +205,8 @@ class Site : public rt::Node {
   void RecordRequestAnswered(uint64_t request_id, TokenStatus status);
 
   // --- Request handling ----------------------------------------------------
-  /// Decodes and serves one client request; false if the decode failed
-  /// (caller must abandon any batch the reader is inside).
-  bool OnClientRequest(rt::NodeId from, BufferReader& r);
+  /// Decodes and serves one client request; a corrupt frame is dropped.
+  void OnClientRequest(rt::NodeId from, BufferReader& r);
   void ServeOrQueue(rt::NodeId client, const TokenRequest& req);
   /// Serves a request against the local pool. Returns false when an acquire
   /// cannot be satisfied locally (caller decides: redistribute or reject).

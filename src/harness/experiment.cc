@@ -66,6 +66,16 @@ int64_t InitialSiteTokens(int64_t max_tokens, int num_sites, int site_index) {
   return base + (site_index < max_tokens % num_sites ? 1 : 0);
 }
 
+core::AppManagerOptions RegionalAppManagerOptions(int num_sites, int region) {
+  core::AppManagerOptions aopts;
+  for (int i = region; i < num_sites; i += 5) aopts.sites.push_back(i);
+  aopts.rotate_over = aopts.sites.size();
+  for (int i = 0; i < num_sites; ++i) {
+    if (i % 5 != region) aopts.sites.push_back(i);
+  }
+  return aopts;
+}
+
 Experiment::Experiment(ExperimentOptions opts) : opts_(std::move(opts)) {
   SAMYA_CHECK_GE(opts_.num_sites, 1);
 }
@@ -226,14 +236,9 @@ void Experiment::SetupSamya() {
   // own sites, with the remaining sites as failover targets.
   std::vector<std::vector<sim::NodeId>> am_per_region(5);
   for (int r = 0; r < 5; ++r) {
-    core::AppManagerOptions aopts;
-    for (int i = r; i < n; i += 5) aopts.sites.push_back(site_ids[static_cast<size_t>(i)]);
-    aopts.rotate_over = aopts.sites.size();
-    for (int i = 0; i < n; ++i) {
-      if (i % 5 != r) aopts.sites.push_back(site_ids[static_cast<size_t>(i)]);
-    }
     auto* am = cluster_->AddNode<core::AppManager>(
-        kClientRegions[static_cast<size_t>(r)], aopts);
+        kClientRegions[static_cast<size_t>(r)],
+        RegionalAppManagerOptions(n, r));
     app_managers_.push_back(am);
     if (opts_.history != nullptr) {
       am->set_response_tap([h = opts_.history](const TokenResponse& resp) {
@@ -259,14 +264,9 @@ void Experiment::SetupDemarcation() {
   }
   std::vector<std::vector<sim::NodeId>> am_per_region(5);
   for (int r = 0; r < 5; ++r) {
-    core::AppManagerOptions aopts;
-    for (int i = r; i < n; i += 5) aopts.sites.push_back(site_ids[static_cast<size_t>(i)]);
-    aopts.rotate_over = aopts.sites.size();
-    for (int i = 0; i < n; ++i) {
-      if (i % 5 != r) aopts.sites.push_back(site_ids[static_cast<size_t>(i)]);
-    }
     auto* am = cluster_->AddNode<core::AppManager>(
-        kClientRegions[static_cast<size_t>(r)], aopts);
+        kClientRegions[static_cast<size_t>(r)],
+        RegionalAppManagerOptions(n, r));
     app_managers_.push_back(am);
     am_per_region[static_cast<size_t>(r)] = {am->id()};
   }
@@ -299,14 +299,9 @@ void Experiment::SetupBoundedCounter() {
   }
   std::vector<std::vector<sim::NodeId>> am_per_region(5);
   for (int r = 0; r < 5; ++r) {
-    core::AppManagerOptions aopts;
-    for (int i = r; i < n; i += 5) aopts.sites.push_back(site_ids[static_cast<size_t>(i)]);
-    aopts.rotate_over = aopts.sites.size();
-    for (int i = 0; i < n; ++i) {
-      if (i % 5 != r) aopts.sites.push_back(site_ids[static_cast<size_t>(i)]);
-    }
     auto* am = cluster_->AddNode<core::AppManager>(
-        kClientRegions[static_cast<size_t>(r)], aopts);
+        kClientRegions[static_cast<size_t>(r)],
+        RegionalAppManagerOptions(n, r));
     app_managers_.push_back(am);
     if (opts_.history != nullptr) {
       am->set_response_tap([h = opts_.history](const TokenResponse& resp) {
@@ -378,14 +373,7 @@ ExperimentResult Experiment::Run() {
   for (auto* client : clients_) {
     const ClientStats& s = client->stats();
     result.per_client.push_back(s);
-    result.aggregate.latency.Merge(s.latency);
-    result.aggregate.acquire_latency.Merge(s.acquire_latency);
-    result.aggregate.committed_acquires += s.committed_acquires;
-    result.aggregate.committed_releases += s.committed_releases;
-    result.aggregate.committed_reads += s.committed_reads;
-    result.aggregate.rejected += s.rejected;
-    result.aggregate.dropped += s.dropped;
-    result.aggregate.sent += s.sent;
+    result.aggregate.Merge(s);
     for (size_t bin = 0; bin < s.committed.num_bins(); ++bin) {
       if (s.committed.bin(bin) > 0) {
         result.throughput.Record(static_cast<SimTime>(bin) * Seconds(1),
@@ -462,8 +450,6 @@ void Experiment::SnapshotMetrics() {
     l.site = am->id();
     mr->GetCounter("am.relayed", l)->Add(am->relayed());
     mr->GetCounter("am.failover_resends", l)->Add(am->failover_resends());
-    mr->GetCounter("am.batches_sent", l)->Add(am->batches_sent());
-    mr->GetCounter("am.batched_requests", l)->Add(am->batched_requests());
   }
 
   for (auto* site : bounded_sites_) {

@@ -214,6 +214,12 @@ JsonValue BuildMetricsSnapshot(const ExperimentResult& result);
 /// mutation (common/testonly_mutation.h), which re-drops the remainder.
 int64_t InitialSiteTokens(int64_t max_tokens, int num_sites, int site_index);
 
+/// App manager `region`'s front door over sites with node ids 0..num_sites-1
+/// (site i sits in region i % 5): the region's own sites first, rotated
+/// over, then every other site as a failover target. Shared by every
+/// deployment builder that puts one app manager in each region.
+core::AppManagerOptions RegionalAppManagerOptions(int num_sites, int region);
+
 }  // namespace samya::harness
 
 #endif  // SAMYA_HARNESS_EXPERIMENT_H_

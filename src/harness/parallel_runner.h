@@ -11,7 +11,8 @@ namespace samya::harness {
 /// \brief Runs `fn(0) .. fn(n-1)` across a pool of `threads` workers
 /// (work-stealing by atomic claim; `threads <= 0` resolves like `RunAll`).
 ///
-/// The generic engine under `RunAll` and the multi-entity shard runner.
+/// The generic engine under `RunAll`, the `samya_figures` sweep and
+/// `samya_search`.
 /// Determinism contract: callers must make each `fn(i)` self-contained —
 /// the function owns all state it touches apart from writing its own,
 /// index-addressed result slot. Under that contract the outcome is

@@ -124,16 +124,8 @@ BackendRun RealHarness::RunReal() {
   }
 
   for (int r = 0; r < 5; ++r) {
-    core::AppManagerOptions aopts;
-    for (int i = r; i < n; i += 5) {
-      aopts.sites.push_back(site_ids[static_cast<size_t>(i)]);
-    }
-    aopts.rotate_over = aopts.sites.size();
-    for (int i = 0; i < n; ++i) {
-      if (i % 5 != r) aopts.sites.push_back(site_ids[static_cast<size_t>(i)]);
-    }
     cluster.AddNode<core::AppManager>(rt::kPaperRegions[static_cast<size_t>(r)],
-                                      aopts);
+                                      RegionalAppManagerOptions(n, r));
   }
 
   std::vector<WorkloadClient*> clients;
@@ -205,17 +197,7 @@ BackendRun RealHarness::RunReal() {
 
   BackendRun run;
   run.backend = "real";
-  for (const ClientStats& cs : client_stats) {
-    run.aggregate.latency.Merge(cs.latency);
-    run.aggregate.acquire_latency.Merge(cs.acquire_latency);
-    run.aggregate.committed_acquires += cs.committed_acquires;
-    run.aggregate.committed_releases += cs.committed_releases;
-    run.aggregate.committed_reads += cs.committed_reads;
-    run.aggregate.rejected += cs.rejected;
-    run.aggregate.dropped += cs.dropped;
-    run.aggregate.sent += cs.sent;
-    run.aggregate.skipped_releases += cs.skipped_releases;
-  }
+  for (const ClientStats& cs : client_stats) run.aggregate.Merge(cs);
   const rt::RealNetStats net = cluster.stats();
   run.messages_sent = net.messages_sent;
   run.messages_delivered = net.messages_delivered;

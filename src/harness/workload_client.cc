@@ -77,7 +77,6 @@ void WorkloadClient::IssueNext() {
     }
     Outstanding out;
     out.request.request_id = next_request_id_++;
-    out.request.entity = opts_.entity;
     out.request.amount = r.amount;
     switch (r.type) {
       case workload::Request::Type::kAcquire:

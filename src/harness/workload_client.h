@@ -31,6 +31,20 @@ struct ClientStats {
   uint64_t TotalCommitted() const {
     return committed_acquires + committed_releases + committed_reads;
   }
+
+  /// Folds another client's histograms and counters into this one. The
+  /// per-second `committed` series is not folded: it stays per client.
+  void Merge(const ClientStats& other) {
+    latency.Merge(other.latency);
+    acquire_latency.Merge(other.acquire_latency);
+    committed_acquires += other.committed_acquires;
+    committed_releases += other.committed_releases;
+    committed_reads += other.committed_reads;
+    rejected += other.rejected;
+    dropped += other.dropped;
+    sent += other.sent;
+    skipped_releases += other.skipped_releases;
+  }
 };
 
 struct WorkloadClientOptions {
@@ -47,10 +61,6 @@ struct WorkloadClientOptions {
   /// request latency rather than trace arrival rate.
   bool closed_loop = false;
   int window = 4;
-  /// Entity (resource type, §3.2) stamped on every request this client
-  /// issues. Multi-entity deployments route on it (EntityRouter); the
-  /// default 0 is the single-entity convention used everywhere else.
-  uint32_t entity = 0;
   /// Optional history recorder (non-owning): every issued request records an
   /// invocation, every final response a completion, for the linearizability
   /// checker. Null (the default) records nothing.

@@ -262,109 +262,5 @@ TEST(AppManagerTest, SingleAttemptRunsIgnoreJitterKnobs) {
   EXPECT_EQ(run(0.0), run(0.9));
 }
 
-TEST(AppManagerTest, BatchingCoalescesAndPreservesPerRequestReplies) {
-  Rig rig(4);
-  AppManagerOptions aopts;
-  aopts.sites = {0, 1, 2};
-  aopts.batch_requests = true;
-  aopts.batch_window = Millis(5);
-  auto* am = rig.cluster.AddNode<AppManager>(sim::Region::kUsWest1, aopts);
-
-  std::vector<WorkloadClient*> clients;
-  for (int c = 0; c < 8; ++c) {
-    WorkloadClientOptions copts;
-    copts.servers = {am->id()};
-    clients.push_back(rig.cluster.AddNode<WorkloadClient>(
-        sim::Region::kUsWest1, copts,
-        std::vector<Request>{{Millis(10), Request::Type::kAcquire, 1}}));
-  }
-  rig.cluster.StartAll();
-  rig.cluster.env().RunFor(Seconds(2));
-  // Every client gets its own reply even though the requests shared a batch.
-  for (auto* c : clients) EXPECT_EQ(c->stats().committed_acquires, 1u);
-  EXPECT_EQ(am->batched_requests(), 8u);
-  EXPECT_EQ(am->batches_sent(), 1u);
-  EXPECT_EQ(rig.sites[0]->tokens_left(), 92);
-}
-
-TEST(AppManagerTest, FullBatchFlushesWithoutWaitingOutWindow) {
-  Rig rig(5);
-  AppManagerOptions aopts;
-  aopts.sites = {0, 1, 2};
-  aopts.batch_requests = true;
-  aopts.batch_window = Millis(5);
-  aopts.max_batch = 4;
-  auto* am = rig.cluster.AddNode<AppManager>(sim::Region::kUsWest1, aopts);
-
-  std::vector<WorkloadClient*> clients;
-  for (int c = 0; c < 8; ++c) {
-    WorkloadClientOptions copts;
-    copts.servers = {am->id()};
-    clients.push_back(rig.cluster.AddNode<WorkloadClient>(
-        sim::Region::kUsWest1, copts,
-        std::vector<Request>{{Millis(10), Request::Type::kAcquire, 1}}));
-  }
-  rig.cluster.StartAll();
-  rig.cluster.env().RunFor(Seconds(2));
-  for (auto* c : clients) EXPECT_EQ(c->stats().committed_acquires, 1u);
-  EXPECT_EQ(am->batched_requests(), 8u);
-  EXPECT_EQ(am->batches_sent(), 2u);  // two full batches of max_batch
-}
-
-TEST(AppManagerTest, BatchedRequestFailsOverIndividually) {
-  Rig rig(6);
-  AppManagerOptions aopts;
-  aopts.sites = {0, 1, 2};
-  aopts.batch_requests = true;
-  aopts.site_timeout = Millis(300);
-  aopts.max_attempts = 2;
-  auto* am = rig.cluster.AddNode<AppManager>(sim::Region::kUsWest1, aopts);
-
-  WorkloadClientOptions copts;
-  copts.servers = {am->id()};
-  copts.request_timeout = Seconds(2);
-  auto* client = rig.cluster.AddNode<WorkloadClient>(
-      sim::Region::kUsWest1, copts,
-      std::vector<Request>{{Millis(10), Request::Type::kAcquire, 1}});
-  rig.cluster.StartAll();
-  rig.cluster.net().Crash(0);  // preferred site is down
-  rig.cluster.env().RunFor(Seconds(5));
-  EXPECT_EQ(client->stats().committed_acquires, 1u);
-  EXPECT_EQ(am->relayed(), 2u);       // batched attempt + individual failover
-  EXPECT_EQ(am->batches_sent(), 1u);  // the failover resend was not batched
-  EXPECT_EQ(rig.sites[1]->tokens_left(), 99);
-}
-
-TEST(AppManagerTest, BatchingReducesMessagesSent) {
-  auto messages_for = [](bool batching) {
-    Rig rig(7);
-    AppManagerOptions aopts;
-    aopts.sites = {0, 1, 2};
-    aopts.batch_requests = batching;
-    aopts.batch_window = Millis(5);
-    auto* am = rig.cluster.AddNode<AppManager>(sim::Region::kUsWest1, aopts);
-    std::vector<WorkloadClient*> clients;
-    for (int c = 0; c < 16; ++c) {
-      WorkloadClientOptions copts;
-      copts.servers = {am->id()};
-      std::vector<Request> script;
-      for (int i = 0; i < 5; ++i) {
-        script.push_back({Millis(20 * (i + 1)), Request::Type::kAcquire, 1});
-      }
-      clients.push_back(rig.cluster.AddNode<WorkloadClient>(
-          sim::Region::kUsWest1, copts, script));
-    }
-    rig.cluster.StartAll();
-    rig.cluster.env().RunFor(Seconds(2));
-    for (auto* c : clients) EXPECT_EQ(c->stats().committed_acquires, 5u);
-    return rig.cluster.net().stats().messages_sent;
-  };
-  const uint64_t unbatched = messages_for(false);
-  const uint64_t batched = messages_for(true);
-  // 16 concurrent same-window requests collapse the AM->site hop from 16
-  // messages into one, so the total message count drops substantially.
-  EXPECT_LT(batched + 60, unbatched);
-}
-
 }  // namespace
 }  // namespace samya::core

@@ -44,16 +44,6 @@ std::vector<Encoded> SiteMessages() {
   req.amount = 3;
   out.push_back(Encode(kMsgTokenRequest, req));
 
-  // Single-request batch: count varint + one encoded request. (Multi-request
-  // batches serve complete leading requests by design; with one request every
-  // strict prefix must be a clean no-op.)
-  {
-    BufferWriter w;
-    w.PutVarint(1);
-    req.EncodeTo(w);
-    out.emplace_back(kMsgTokenBatchRequest, w.buffer());
-  }
-
   ElectionGetValue egv;
   egv.instance = 4;
   egv.ballot = ballot;

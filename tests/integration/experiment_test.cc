@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace samya::harness {
 namespace {
 
@@ -86,6 +88,43 @@ TEST(ExperimentTest, DeterministicBySeed) {
   };
   EXPECT_EQ(run(7), run(7));
   EXPECT_NE(run(7), run(8));
+}
+
+TEST(ExperimentTest, AggregateIsTheSumOverClients) {
+  for (SystemKind system :
+       {SystemKind::kSamyaMajority, SystemKind::kMultiPaxSys}) {
+    Experiment experiment(SmallOptions(system));
+    experiment.Setup();
+    auto result = experiment.Run();
+    ClientStats sum;
+    uint64_t latency_count = 0;
+    uint64_t acquire_latency_count = 0;
+    for (const ClientStats& s : result.per_client) {
+      sum.committed_acquires += s.committed_acquires;
+      sum.committed_releases += s.committed_releases;
+      sum.committed_reads += s.committed_reads;
+      sum.rejected += s.rejected;
+      sum.dropped += s.dropped;
+      sum.sent += s.sent;
+      sum.skipped_releases += s.skipped_releases;
+      latency_count += s.latency.count();
+      acquire_latency_count += s.acquire_latency.count();
+    }
+    const ClientStats& agg = result.aggregate;
+    const std::string name = SystemName(system);
+    // The open-loop trace releases more than a client holds at some point,
+    // so every counter below is exercised.
+    EXPECT_GT(sum.skipped_releases, 0u) << name;
+    EXPECT_EQ(agg.committed_acquires, sum.committed_acquires) << name;
+    EXPECT_EQ(agg.committed_releases, sum.committed_releases) << name;
+    EXPECT_EQ(agg.committed_reads, sum.committed_reads) << name;
+    EXPECT_EQ(agg.rejected, sum.rejected) << name;
+    EXPECT_EQ(agg.dropped, sum.dropped) << name;
+    EXPECT_EQ(agg.sent, sum.sent) << name;
+    EXPECT_EQ(agg.skipped_releases, sum.skipped_releases) << name;
+    EXPECT_EQ(agg.latency.count(), latency_count) << name;
+    EXPECT_EQ(agg.acquire_latency.count(), acquire_latency_count) << name;
+  }
 }
 
 TEST(ExperimentTest, ReadRatioProducesReads) {

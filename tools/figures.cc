@@ -624,7 +624,7 @@ std::optional<Verdict> PrintFig3f(const Outputs& runs) {
               static_cast<unsigned long long>(with_any.aggregate.rejected),
               static_cast<unsigned long long>(wo_any.aggregate.rejected));
 
-  std::printf("\nrejected transactions (prediction avoids exhaustion):\n");
+  std::printf("\nrejected transactions (with vs without prediction):\n");
   for (size_t i = 0; i < runs.size(); ++i) {
     const auto& r = runs[i]->result;
     std::printf("  %-42s rejected=%llu dropped=%llu\n",
