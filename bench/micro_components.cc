@@ -1,6 +1,7 @@
 // Component micro-benchmarks (google-benchmark): the hot paths under every
-// experiment — codec, CRC, RNG, histogram, event loop, Algorithm 2, message
-// round trips, predictor inference, and trace generation.
+// experiment — codec, CRC, RNG, histogram, event loop, flight recorder,
+// Algorithm 2, message round trips, predictor inference, and trace
+// generation.
 
 #include <benchmark/benchmark.h>
 
@@ -10,6 +11,7 @@
 #include "common/random.h"
 #include "core/messages.h"
 #include "core/reallocator.h"
+#include "obs/flight_recorder.h"
 #include "predict/lstm.h"
 #include "sim/environment.h"
 #include "workload/azure_generator.h"
@@ -73,6 +75,35 @@ void BM_SimEventLoop(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_SimEventLoop);
+
+/// One `FlightRecorder::Record` of a message send, as the network's send
+/// path makes it. The bounded ring is pre-filled four times over, so every
+/// timed record overwrites; the unbounded one appends (and regrows). Both
+/// run a fixed count, which caps the unbounded case at ~40 MiB of events.
+void BM_FlightRecorderRecord(benchmark::State& state, size_t capacity) {
+  obs::FlightRecorder flight(capacity);
+  SimTime at = 0;
+  if (capacity != obs::FlightRecorder::kUnbounded) {
+    for (size_t i = 0; i < 4 * capacity; ++i) {
+      flight.Record(++at, static_cast<int32_t>(i % 5),
+                    obs::FlightKind::kMsgSend, obs::kSendOk, 3, 1, 48);
+    }
+  }
+  int32_t site = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(flight.Record(
+        ++at, site, obs::FlightKind::kMsgSend, obs::kSendOk, 3, 1, 48));
+    site = site == 4 ? 0 : site + 1;
+  }
+  benchmark::DoNotOptimize(flight.total());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_CAPTURE(BM_FlightRecorderRecord, ring,
+                  obs::FlightRecorder::kDefaultCapacity)
+    ->Iterations(1 << 20);
+BENCHMARK_CAPTURE(BM_FlightRecorderRecord, unbounded,
+                  obs::FlightRecorder::kUnbounded)
+    ->Iterations(1 << 20);
 
 void BM_Algorithm2Reallocate(benchmark::State& state) {
   core::GreedyReallocator realloc;

@@ -38,7 +38,6 @@ void Site::StartMajorityElection(InstanceId instance, bool recovery) {
   role_ = Role::kLeader;
   leader_phase_ = LeaderPhase::kElection;
   recovery_mode_ = recovery;
-  phase_started_ = Now();
   Engage(instance);
   ballot_ = Ballot{ballot_.num + 1, id()};
   if (flight_ != nullptr) {
@@ -224,9 +223,6 @@ void Site::MajorityChooseAndAccept() {
   SAMYA_CHECK(engaged_.has_value());
   const InstanceId instance = *engaged_;
   CancelTimer(leader_timer_);
-  if (hist_election_us_ != nullptr) {
-    hist_election_us_->Record(Now() - phase_started_);
-  }
 
   // Value choice (lines 15-23) including the failure-recovery rules.
   bool chosen_decision = false;
@@ -281,7 +277,6 @@ void Site::MajorityChooseAndAccept() {
                     static_cast<int64_t>(accept_val_.entries.size()));
   }
 
-  phase_started_ = Now();
   BufferWriter w;
   AcceptValue{instance, ballot_, accept_val_, false}.EncodeTo(w);
   BroadcastToOthers(kMsgAcceptValue, w, opts_.sites);
@@ -364,9 +359,6 @@ void Site::OnAcceptOk(rt::NodeId from, const AcceptOk& m) {
                     static_cast<int64_t>(accept_ok_from_.size()));
   }
   CancelTimer(leader_timer_);
-  if (hist_accept_us_ != nullptr) {
-    hist_accept_us_->Record(Now() - phase_started_);
-  }
   const InstanceId instance = *engaged_;
   const StateList value = accept_val_;
   BufferWriter w;
@@ -400,7 +392,6 @@ void Site::StartAnyElection() {
   CancelTimer(watchdog_timer_);
   role_ = Role::kLeader;
   leader_phase_ = LeaderPhase::kElection;
-  phase_started_ = Now();
   Engage(instance);
   ballot_ = Ballot{ballot_.num + 1, id()};
   if (flight_ != nullptr) {
@@ -434,10 +425,6 @@ void Site::AnyProceedToAccept() {
   const InstanceId instance = *engaged_;
   CancelTimer(leader_timer_);
   leader_phase_ = LeaderPhase::kAccept;
-  if (hist_election_us_ != nullptr) {
-    hist_election_us_->Record(Now() - phase_started_);
-  }
-  phase_started_ = Now();
 
   // R_t = exactly the sites whose InitVals we collected (change i).
   accept_val_ = StateList{};
@@ -690,9 +677,6 @@ void Site::FinishInstanceLocally(InstanceId instance, const StateList& value) {
 
   const bool was_engaged = engaged_.has_value() && *engaged_ == instance;
   if (was_engaged) {
-    if (hist_instance_us_ != nullptr) {
-      hist_instance_us_->Record(Now() - freeze_started_);
-    }
     AccountUnfreeze();
     engaged_.reset();
     ResetInstanceState();

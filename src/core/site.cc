@@ -5,7 +5,6 @@
 #include "common/logging.h"
 #include "common/macros.h"
 #include "core/op_log.h"
-#include "obs/metrics.h"
 
 namespace samya::core {
 
@@ -45,17 +44,6 @@ Site::~Site() = default;
 
 void Site::Start() {
   flight_ = runtime()->flight_for(id());
-  if (obs::MetricsRegistry* mr = runtime()->metrics_for(id())) {
-    obs::MetricLabels labels;
-    labels.site = id();
-    labels.protocol = ProtocolName();
-    labels.round = "election";
-    hist_election_us_ = mr->GetHistogram("avantan.round_us", labels);
-    labels.round = "accept";
-    hist_accept_us_ = mr->GetHistogram("avantan.round_us", labels);
-    labels.round = "";
-    hist_instance_us_ = mr->GetHistogram("avantan.instance_us", labels);
-  }
   tokens_left_ = opts_.initial_tokens;
   LoadDurable();
   predictor_ = opts_.predictor_factory();

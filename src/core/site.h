@@ -11,7 +11,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "common/histogram.h"
 #include "common/token_api.h"
 #include "core/messages.h"
 #include "core/reallocator.h"
@@ -362,19 +361,11 @@ class Site : public rt::Node {
   SiteStats stats_;
 
   // --- Observability (DESIGN.md §8) ----------------------------------------
-  // All pointers cached from the network at Start; null when disabled, which
-  // reduces every instrumentation site to one predictable branch.
-  const char* ProtocolName() const {
-    return IsAnyMode() ? "any" : "majority";
-  }
-  /// The backend's flight recorder for this site. Rounds, phases and
-  /// request waits are derived from its events after the run
-  /// (harness/postmortem.h).
+  /// The backend's flight recorder for this site, cached at Start; null when
+  /// disabled, which reduces every instrumentation site to one predictable
+  /// branch. Rounds, phases and request waits are derived from its events
+  /// after the run (harness/postmortem.h).
   obs::FlightRecorder* flight_ = nullptr;
-  SimTime phase_started_ = 0;
-  Histogram* hist_election_us_ = nullptr;  ///< leader election-phase duration
-  Histogram* hist_accept_us_ = nullptr;    ///< leader accept-phase duration
-  Histogram* hist_instance_us_ = nullptr;  ///< engage -> finish, engaged sites
 };
 
 }  // namespace samya::core

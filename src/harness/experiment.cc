@@ -122,10 +122,10 @@ void Experiment::Setup() {
   }
 
   if (opts_.obs.any()) {
-    // Attach before any node starts: sites cache the flight/metrics
-    // pointers in Start(), so late attachment would instrument nothing.
+    // Attach before any node starts: sites cache the flight pointer in
+    // Start(), so late attachment would instrument nothing.
     obs_ = std::make_shared<obs::Observability>(opts_.obs);
-    cluster_->net().set_observability(obs_->flight(), obs_->metrics(),
+    cluster_->net().set_observability(obs_->flight(), nullptr,
                                       obs_->profiler());
     cluster_->env().set_profiler(obs_->profiler());
   }
@@ -239,7 +239,6 @@ void Experiment::SetupSamya() {
     auto* am = cluster_->AddNode<core::AppManager>(
         kClientRegions[static_cast<size_t>(r)],
         RegionalAppManagerOptions(n, r));
-    app_managers_.push_back(am);
     if (opts_.history != nullptr) {
       am->set_response_tap([h = opts_.history](const TokenResponse& resp) {
         h->OnServerOutcome(resp.request_id, resp.status);
@@ -267,7 +266,6 @@ void Experiment::SetupDemarcation() {
     auto* am = cluster_->AddNode<core::AppManager>(
         kClientRegions[static_cast<size_t>(r)],
         RegionalAppManagerOptions(n, r));
-    app_managers_.push_back(am);
     am_per_region[static_cast<size_t>(r)] = {am->id()};
   }
   AddClients(am_per_region);
@@ -302,7 +300,6 @@ void Experiment::SetupBoundedCounter() {
     auto* am = cluster_->AddNode<core::AppManager>(
         kClientRegions[static_cast<size_t>(r)],
         RegionalAppManagerOptions(n, r));
-    app_managers_.push_back(am);
     if (opts_.history != nullptr) {
       am->set_response_tap([h = opts_.history](const TokenResponse& resp) {
         h->OnServerOutcome(resp.request_id, resp.status);
@@ -404,7 +401,6 @@ ExperimentResult Experiment::Run() {
     }
   }
   if (obs_ != nullptr) {
-    SnapshotMetrics();
     if (obs::FlightRecorder* flight = obs_->flight()) {
       flight->set_end(cluster_->env().Now());
     }
@@ -412,90 +408,6 @@ ExperimentResult Experiment::Run() {
   }
   Logger::SetThreadSimClock(nullptr);
   return result;
-}
-
-void Experiment::SnapshotMetrics() {
-  obs::MetricsRegistry* mr = obs_->metrics();
-  if (mr == nullptr) return;
-  const char* protocol = "";
-  if (IsSamyaVariant(opts_.system)) {
-    protocol = (opts_.system == SystemKind::kSamyaAny ||
-                opts_.system == SystemKind::kSamyaAnyNoPredict)
-                   ? "any"
-                   : "majority";
-  }
-
-  for (auto* site : sites_) {
-    const core::SiteStats& s = site->stats();
-    obs::MetricLabels l;
-    l.site = site->id();
-    l.protocol = protocol;
-    mr->GetCounter("site.committed_acquires", l)->Add(s.committed_acquires);
-    mr->GetCounter("site.committed_releases", l)->Add(s.committed_releases);
-    mr->GetCounter("site.committed_reads", l)->Add(s.committed_reads);
-    mr->GetCounter("site.rejected", l)->Add(s.rejected);
-    mr->GetCounter("site.requests_queued", l)->Add(s.requests_queued);
-    mr->GetCounter("site.proactive_redistributions", l)
-        ->Add(s.proactive_redistributions);
-    mr->GetCounter("site.reactive_redistributions", l)
-        ->Add(s.reactive_redistributions);
-    mr->GetCounter("site.instances_completed", l)->Add(s.instances_completed);
-    mr->GetCounter("site.instances_aborted", l)->Add(s.instances_aborted);
-    mr->GetGauge("site.time_frozen_us", l)->Set(s.time_frozen);
-    mr->GetGauge("site.tokens_left", l)->Set(site->tokens_left());
-  }
-
-  for (auto* am : app_managers_) {
-    obs::MetricLabels l;
-    l.site = am->id();
-    mr->GetCounter("am.relayed", l)->Add(am->relayed());
-    mr->GetCounter("am.failover_resends", l)->Add(am->failover_resends());
-  }
-
-  for (auto* site : bounded_sites_) {
-    const baselines::BoundedCounterStats& s = site->stats();
-    obs::MetricLabels l;
-    l.site = site->id();
-    l.protocol = "bounded_counter";
-    mr->GetCounter("site.committed_acquires", l)->Add(s.committed_acquires);
-    mr->GetCounter("site.committed_releases", l)->Add(s.committed_releases);
-    mr->GetCounter("site.committed_reads", l)->Add(s.committed_reads);
-    mr->GetCounter("site.rejected", l)->Add(s.rejected);
-    mr->GetCounter("site.transfers_requested", l)->Add(s.transfers_requested);
-    mr->GetCounter("site.transfers_granted", l)->Add(s.transfers_granted);
-    mr->GetCounter("site.gossip_rounds", l)->Add(s.gossip_rounds);
-    mr->GetCounter("site.disconnected_windows", l)
-        ->Add(s.disconnected_windows);
-    mr->GetGauge("site.local_rights", l)->Set(site->local_rights());
-  }
-
-  const sim::NetworkStats& ns = cluster_->net().stats();
-  mr->GetCounter("net.messages_sent")->Add(ns.messages_sent);
-  mr->GetCounter("net.messages_delivered")->Add(ns.messages_delivered);
-  mr->GetCounter("net.messages_dropped_loss")->Add(ns.messages_dropped_loss);
-  mr->GetCounter("net.messages_dropped_partition")
-      ->Add(ns.messages_dropped_partition);
-  mr->GetCounter("net.messages_dropped_crashed")
-      ->Add(ns.messages_dropped_crashed);
-  mr->GetCounter("net.messages_dropped_link")->Add(ns.messages_dropped_link);
-  mr->GetCounter("net.messages_duplicated")->Add(ns.messages_duplicated);
-  mr->GetCounter("net.bytes_sent")->Add(ns.bytes_sent);
-  mr->GetGauge("sim.events_executed")->Set(
-      static_cast<int64_t>(cluster_->TotalEventsExecuted()));
-
-  // Per-directed-link lifecycle counters (satellite: surfaced through the
-  // snapshot so drop accounting is auditable per link).
-  for (const auto& [key, lc] : cluster_->net().link_counters()) {
-    obs::MetricLabels l;
-    l.site = sim::Network::LinkKeyFrom(key);
-    l.peer = sim::Network::LinkKeyTo(key);
-    mr->GetCounter("link.attempts", l)->Add(lc.attempts);
-    mr->GetCounter("link.duplicated", l)->Add(lc.duplicated);
-    mr->GetCounter("link.dropped_at_send", l)->Add(lc.dropped_at_send);
-    mr->GetCounter("link.delivered", l)->Add(lc.delivered);
-    mr->GetCounter("link.dropped_at_delivery", l)->Add(lc.dropped_at_delivery);
-    mr->GetCounter("link.bytes", l)->Add(lc.bytes);
-  }
 }
 
 JsonValue BuildMetricsSnapshot(const ExperimentResult& result) {
@@ -523,9 +435,6 @@ JsonValue BuildMetricsSnapshot(const ExperimentResult& result) {
   }
   root.Set("client_latency", result.aggregate.latency.ToJson());
   if (result.obs != nullptr) {
-    if (const obs::MetricsRegistry* mr = result.obs->metrics()) {
-      root.Set("metrics", mr->ToJson());
-    }
     if (const obs::EventLoopProfiler* prof = result.obs->profiler()) {
       root.Set("profiler", prof->ToJson());
     }

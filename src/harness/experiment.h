@@ -112,9 +112,9 @@ struct ExperimentResult {
   uint64_t dropped_violations = 0;
   uint64_t audit_ticks = 0;
 
-  /// The run's observability bundle (metrics registry / profiler / flight
-  /// recorder), set iff any `ExperimentOptions::obs` component was on.
-  /// Shared so sweep results can be moved around without copying buffers.
+  /// The run's observability bundle (profiler / flight recorder), set iff
+  /// any `ExperimentOptions::obs` component was on. Shared so sweep results
+  /// can be moved around without copying buffers.
   std::shared_ptr<obs::Observability> obs;
 
   double MeanTps(Duration duration) const {
@@ -145,11 +145,6 @@ class Experiment {
   const std::vector<sim::NodeId>& client_ids() const { return client_ids_; }
 
   const std::vector<core::Site*>& samya_sites() const { return sites_; }
-  /// The per-region app managers (empty for replicated baselines, which
-  /// have clients talk to replicas directly).
-  const std::vector<core::AppManager*>& app_managers() const {
-    return app_managers_;
-  }
   /// Non-empty only for SystemKind::kBoundedCounter runs.
   const std::vector<baselines::BoundedCounterSite*>& bounded_sites() const {
     return bounded_sites_;
@@ -175,11 +170,9 @@ class Experiment {
   void SetupReplicated();
   void SetupDemarcation();
   void SetupBoundedCounter();
-  /// Names exported trace "processes" and seeds the registry's per-site
-  /// label space (no-op when observability is off).
+  /// Names exported trace "processes" in the flight recorder (no-op when
+  /// the flight recorder is off).
   void FinishObsSetup();
-  /// End-of-run registry population: site/network/per-link counters.
-  void SnapshotMetrics();
   void AddClients(const std::vector<std::vector<sim::NodeId>>& servers_per_region);
   std::vector<double> RegionDemandSeries(int region_index) const;
   /// The generated, load-scaled, time-compressed base trace. Every region's
@@ -195,16 +188,16 @@ class Experiment {
   std::unique_ptr<InvariantAuditor> auditor_;
   std::vector<core::Site*> sites_;
   std::vector<baselines::BoundedCounterSite*> bounded_sites_;
-  std::vector<core::AppManager*> app_managers_;
   std::vector<WorkloadClient*> clients_;
   std::vector<sim::NodeId> server_ids_;
   std::vector<sim::NodeId> client_ids_;
   bool setup_done_ = false;
 };
 
-/// Full JSON snapshot of one observed run: the metrics registry, the
-/// event-loop profile, and headline result counters. Components that were
-/// disabled are simply absent from the object.
+/// Full JSON snapshot of one run: headline result counters (`summary`), the
+/// audit outcome, the client latency histogram, and, when observed, the
+/// event-loop profile and the flight recorder's summary. Components that
+/// were disabled are simply absent from the object.
 JsonValue BuildMetricsSnapshot(const ExperimentResult& result);
 
 /// Site `site_index`'s share of an entity's M_e tokens: M/n, with the first

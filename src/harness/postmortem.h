@@ -20,13 +20,15 @@ namespace samya::harness {
 /// (DESIGN.md §8).
 ///
 /// A bundle is the self-contained record of one run: the reproducer
-/// (chaos/explore case JSON), the auditor's violation list, the metrics
-/// snapshot, and the flight-recorder history. `samya_search` and the corpus
-/// replay test dump one next to every violating case
-/// ("<case>_postmortem.json"); `samya_postmortem capture` writes one for a
-/// clean case or a whole experiment. Spans (Avantan rounds, phases, request
-/// waits, disconnected epochs) and message flights are derived from the
-/// flight events here, once, for both the report and the Perfetto export.
+/// (chaos/explore case JSON), the auditor's violation list, the run's
+/// result snapshot (`BuildMetricsSnapshot`: counters, client latency, loop
+/// profile, flight summary), and the flight-recorder history.
+/// `samya_search` and the corpus replay test dump one next to every
+/// violating case ("<case>_postmortem.json"); `samya_postmortem capture`
+/// writes one for a clean case or a whole experiment. Spans (Avantan
+/// rounds, phases, request waits, disconnected epochs) and message flights
+/// are derived from the flight events here, once, for both the report and
+/// the Perfetto export.
 
 /// Format "samya-postmortem-v1". All sections are optional except
 /// `failed_check`; absent sections load as JSON null / empty.
@@ -40,7 +42,7 @@ struct PostmortemBundle {
   JsonValue reproducer;
   std::vector<AuditViolation> violations;
   uint64_t dropped_violations = 0;  ///< past the auditor's cap
-  /// `BuildMetricsSnapshot` of the violating run; null when obs was off.
+  /// `BuildMetricsSnapshot` of the run; null when obs was off.
   JsonValue metrics;
   /// `FlightRecorder::ToJson` ("samya-flight-v1"); null when unarmed.
   JsonValue flight;
@@ -49,9 +51,9 @@ struct PostmortemBundle {
   static Result<PostmortemBundle> FromJson(const JsonValue& v);
 };
 
-/// Builds a bundle from a finished run. Pulls the flight section and
-/// metrics snapshot out of `r.obs` when present; `reproducer` is stored
-/// verbatim (pass `JsonValue()` for none).
+/// Builds a bundle from a finished run. Takes the flight section and the
+/// `BuildMetricsSnapshot` section when `r.obs` is present; `reproducer` is
+/// stored verbatim (pass `JsonValue()` for none).
 PostmortemBundle MakePostmortem(const std::string& source,
                                 const std::string& failed_check,
                                 JsonValue reproducer,

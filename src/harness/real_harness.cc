@@ -8,7 +8,6 @@
 #include "core/app_manager.h"
 #include "harness/experiment.h"
 #include "obs/flight_recorder.h"
-#include "obs/metrics.h"
 #include "rt/latency_model.h"
 
 namespace samya::harness {
@@ -70,7 +69,6 @@ BackendRun RealHarness::RunSim() {
   eopts.site_template = opts_.site_template;
   eopts.scripts_override = scripts_;
   eopts.audit.enabled = true;
-  eopts.obs.metrics = true;
   eopts.obs.flight_capacity = obs::FlightRecorder::kDefaultCapacity;
 
   const auto wall_start = std::chrono::steady_clock::now();
@@ -91,7 +89,6 @@ BackendRun RealHarness::RunSim() {
       run.total_site_tokens + run.server_net_acquires == opts_.max_tokens;
   run.violations = result.violations.size() + result.dropped_violations;
   run.wall_seconds = WallSecondsSince(wall_start);
-  run.metrics = BuildMetricsSnapshot(result);
   if (result.obs != nullptr && result.obs->flight() != nullptr) {
     run.flight = result.obs->flight()->ToJson();
   } else {
@@ -215,21 +212,14 @@ BackendRun RealHarness::RunReal() {
   if (run.server_net_acquires > opts_.max_tokens) ++run.violations;
   run.wall_seconds = WallSecondsSince(wall_start);
 
-  // Fold the per-node observability shards into one snapshot each, the
-  // same shape the simulator result carries.
-  obs::MetricsRegistry merged_metrics;
+  // Fold the per-node flight rings into one, the same shape the simulator
+  // result carries.
   obs::FlightRecorder merged_flight(4096 * cluster.num_nodes());
   for (size_t id = 0; id < cluster.num_nodes(); ++id) {
-    const auto node_id = static_cast<rt::NodeId>(id);
-    if (const auto* m = cluster.metrics_for(node_id)) {
-      merged_metrics.Merge(*m);
-    }
-    if (const auto* f = cluster.flight_for(node_id)) {
+    if (const auto* f = cluster.flight_for(static_cast<rt::NodeId>(id))) {
       merged_flight.Merge(*f);
     }
   }
-  run.metrics = JsonValue::MakeObject();
-  run.metrics.Set("metrics", merged_metrics.ToJson());
   run.flight = merged_flight.ToJson();
   return run;
 }

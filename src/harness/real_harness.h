@@ -71,8 +71,7 @@ struct BackendRun {
 
   double wall_seconds = 0.0;
 
-  JsonValue metrics;  ///< metrics-registry snapshot
-  JsonValue flight;   ///< flight-recorder dump
+  JsonValue flight;  ///< flight-recorder dump
 };
 
 /// \brief Runs the canonical workload on either backend and reports
@@ -90,7 +89,7 @@ class RealHarness {
   Duration horizon() const { return horizon_; }
 
   /// Simulator run via harness::Experiment (scripts_override), with the
-  /// continuous invariant auditor and metrics/flight observability on.
+  /// continuous invariant auditor and the flight recorder on.
   BackendRun RunSim();
 
   /// Real-backend run on rt::RealCluster: same node-id layout, same

@@ -11,7 +11,6 @@
 #include "rt/latency_model.h"
 
 namespace samya::obs {
-class MetricsRegistry;
 class FlightRecorder;
 }  // namespace samya::obs
 
@@ -62,11 +61,7 @@ class Runtime {
     (void)timer_id;
   }
 
-  // --- Observability attachment points (any may be null) -------------------
-  virtual obs::MetricsRegistry* metrics_for(NodeId id) const {
-    (void)id;
-    return nullptr;
-  }
+  // --- Observability attachment point (may be null) ------------------------
   virtual obs::FlightRecorder* flight_for(NodeId id) const {
     (void)id;
     return nullptr;

@@ -80,17 +80,10 @@ storage::StableStorage* RealCluster::StorageFor(NodeId id) {
 
 void RealCluster::EnableObservability(size_t flight_capacity) {
   SAMYA_CHECK_MSG(!started_, "EnableObservability after Start()");
-  metrics_.clear();
   flights_.clear();
   for (size_t i = 0; i < loops_.size(); ++i) {
-    metrics_.push_back(std::make_unique<obs::MetricsRegistry>());
     flights_.push_back(std::make_unique<obs::FlightRecorder>(flight_capacity));
   }
-}
-
-obs::MetricsRegistry* RealCluster::metrics_for(NodeId id) const {
-  if (metrics_.empty()) return nullptr;
-  return metrics_[static_cast<size_t>(id)].get();
 }
 
 obs::FlightRecorder* RealCluster::flight_for(NodeId id) const {

@@ -16,7 +16,6 @@
 #include "common/random.h"
 #include "common/time.h"
 #include "obs/flight_recorder.h"
-#include "obs/metrics.h"
 #include "rt/latency_model.h"
 #include "rt/node.h"
 #include "storage/stable_storage.h"
@@ -93,8 +92,8 @@ inline constexpr Duration kDeliveryWindow = 100;
 /// (~50 µs by default); timers never fire early.
 ///
 /// Lifecycle: AddNode* -> Start() -> (RunFor / Post / Crash / Recover)* ->
-/// Shutdown(). `stats()` and per-node metrics snapshots are exact only
-/// after Shutdown (loop-local counters are unsynchronized while running).
+/// Shutdown(). `stats()` and the per-node flight rings are exact only
+/// after Shutdown (loop-local state is unsynchronized while running).
 class RealCluster : public Runtime {
  public:
   explicit RealCluster(NetemConfig config = NetemConfig());
@@ -118,9 +117,9 @@ class RealCluster : public Runtime {
   /// simulator's; the durability contract under test is the protocol's).
   storage::StableStorage* StorageFor(NodeId id);
 
-  /// Creates a per-node MetricsRegistry and FlightRecorder, returned by
-  /// `metrics_for` / `flight_for`. Call before Start(). Each registry is
-  /// only ever touched by its node's loop thread.
+  /// Creates a per-node FlightRecorder, returned by `flight_for`. Call
+  /// before Start(). Each ring is only ever touched by its node's loop
+  /// thread.
   void EnableObservability(size_t flight_capacity = 4096);
 
   /// Binds sockets, spawns one loop thread per node, and runs every node's
@@ -162,7 +161,6 @@ class RealCluster : public Runtime {
   void Send(Node* from, NodeId to, uint32_t type, const uint8_t* data,
             size_t n) override;
   uint64_t ArmTimer(Node* node, Duration delay, uint64_t token) override;
-  obs::MetricsRegistry* metrics_for(NodeId id) const override;
   obs::FlightRecorder* flight_for(NodeId id) const override;
 
  private:
@@ -235,7 +233,6 @@ class RealCluster : public Runtime {
   std::vector<std::unique_ptr<Loop>> loops_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<std::unique_ptr<storage::InMemoryStableStorage>> storages_;
-  std::vector<std::unique_ptr<obs::MetricsRegistry>> metrics_;
   std::vector<std::unique_ptr<obs::FlightRecorder>> flights_;
   std::vector<uint16_t> ports_;  ///< node id -> UDP port, fixed at Start
   /// Start() instant in µs on `CLOCK_MONOTONIC`: `now_us` values are

@@ -109,8 +109,6 @@ void Network::Deliver(NodeId from, NodeId to, uint32_t type,
   // Entering node code: subsequent Schedule/Send key allocations belong to
   // the receiver's causal stream (see StreamKeyTable).
   env_->SetCurrentStream(static_cast<uint32_t>(to) + 1);
-  LinkCounters* lc =
-      metrics_ != nullptr ? &link_counters_[LinkKey(from, to)] : nullptr;
   bool dropped = true;
   if (!recv->alive()) {
     ++stats_.messages_dropped_crashed;
@@ -125,7 +123,6 @@ void Network::Deliver(NodeId from, NodeId to, uint32_t type,
   }
 
   if (dropped) {
-    if (lc != nullptr) ++lc->dropped_at_delivery;
     if (flight_ != nullptr) {
       const uint16_t why = !recv->alive() ? obs::kDeliverDroppedCrashed
                            : (partitioned_ && !CanCommunicate(from, to))
@@ -140,7 +137,6 @@ void Network::Deliver(NodeId from, NodeId to, uint32_t type,
     }
   } else {
     ++stats_.messages_delivered;
-    if (lc != nullptr) ++lc->delivered;
     if (flight_ != nullptr) {
       flight_->Record(env_->Now(), to, obs::FlightKind::kMsgDeliver,
                       obs::kDeliverOk, type, from, seq);
@@ -179,12 +175,6 @@ void Network::Send(NodeId from, NodeId to, uint32_t type,
   Rng& send_rng = send_rngs_[static_cast<size_t>(from)];
   ++stats_.messages_sent;
   stats_.bytes_sent += payload.size();
-  LinkCounters* lc =
-      metrics_ != nullptr ? &link_counters_[LinkKey(from, to)] : nullptr;
-  if (lc != nullptr) {
-    ++lc->attempts;
-    lc->bytes += payload.size();
-  }
 
   bool dropped_at_send = false;
   if (partitioned_ && !CanCommunicate(from, to)) {
@@ -198,7 +188,6 @@ void Network::Send(NodeId from, NodeId to, uint32_t type,
     dropped_at_send = true;
   }
   if (dropped_at_send) {
-    if (lc != nullptr) ++lc->dropped_at_send;
     if (flight_ != nullptr) {
       flight_->Record(env_->Now(), from, obs::FlightKind::kMsgSend,
                       obs::kSendDroppedAtSend, type, to,
@@ -223,7 +212,6 @@ void Network::Send(NodeId from, NodeId to, uint32_t type,
     // Inject a copy with an independently sampled latency; it races the
     // original and may arrive first (duplication implies reordering).
     ++stats_.messages_duplicated;
-    if (lc != nullptr) ++lc->duplicated;
     // The copy pairs with its own send event (it fires its own delivery).
     uint32_t dup_seq = 0;
     if (flight_ != nullptr) {

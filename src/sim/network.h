@@ -1,6 +1,7 @@
 #ifndef SAMYA_SIM_NETWORK_H_
 #define SAMYA_SIM_NETWORK_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <unordered_map>
@@ -9,7 +10,6 @@
 #include "common/buffer_pool.h"
 #include "common/flat_set64.h"
 #include "obs/flight_recorder.h"
-#include "obs/metrics.h"
 #include "rt/node.h"
 #include "sim/environment.h"
 #include "sim/latency_model.h"
@@ -24,7 +24,9 @@ namespace samya::sim {
 /// link cut, or Bernoulli loss). A `kSent` message later fires exactly one of
 /// `kDelivered` or `kDroppedAtDelivery` (receiver crashed, or a partition /
 /// link cut formed while it was in flight). Duplicated copies fire their own
-/// terminal event but no extra `kSent`.
+/// terminal event but no extra `kSent`. So once the queue drains, accounting
+/// per directed link is exclusive: attempted sends + duplicated copies ==
+/// drops at send + deliveries + drops at delivery.
 enum class TapEvent : uint8_t {
   kSent,
   kDroppedAtSend,
@@ -49,20 +51,6 @@ struct NetworkStats {
   uint64_t messages_dropped_link = 0;  ///< one-way link cuts (send + in-flight)
   uint64_t messages_duplicated = 0;    ///< extra copies injected
   uint64_t bytes_sent = 0;
-};
-
-/// Per-directed-link counters, kept only while a `MetricsRegistry` is
-/// attached (see `Network::set_observability`). Accounting is exclusive:
-/// attempts + duplicated == dropped_at_send + delivered + dropped_at_delivery
-/// once the queue drains (duplicate copies skip `attempts` but share the
-/// terminal counters, mirroring the `MessageTap` contract).
-struct LinkCounters {
-  uint64_t attempts = 0;  ///< Sends from an alive sender (copies excluded)
-  uint64_t duplicated = 0;
-  uint64_t dropped_at_send = 0;
-  uint64_t delivered = 0;
-  uint64_t dropped_at_delivery = 0;
-  uint64_t bytes = 0;  ///< payload bytes attempted on this link
 };
 
 /// \brief Simulated asynchronous geo-distributed network (§3.1's model:
@@ -163,35 +151,19 @@ class Network : public rt::Runtime {
   /// Attaches observability components (DESIGN.md §8); any may be null.
   ///  - flight: records message send/delivery fates; each delivery carries
   ///    its send's seq, pairing the two.
-  ///  - metrics: enables per-directed-link `LinkCounters`.
   ///  - profiler: attributes handler wall-time by message type / timer.
-  void set_observability(obs::FlightRecorder* flight,
-                         obs::MetricsRegistry* metrics,
+  /// The middle argument is the retired metrics slot, kept so existing
+  /// three-argument callers compile; pass nullptr.
+  void set_observability(obs::FlightRecorder* flight, std::nullptr_t,
                          obs::EventLoopProfiler* profiler) {
     flight_ = flight;
-    metrics_ = metrics;
     profiler_ = profiler;
   }
 
-  obs::MetricsRegistry* metrics() const { return metrics_; }
   obs::FlightRecorder* flight() const { return flight_; }
 
-  /// Every node records into the network's registry and recorder; null
-  /// when that component is off.
-  obs::MetricsRegistry* metrics_for(NodeId) const override { return metrics_; }
+  /// Every node records into the network's recorder; null when it is off.
   obs::FlightRecorder* flight_for(NodeId) const override { return flight_; }
-
-  /// Per-link counters keyed by `LinkKey`. Empty unless a metrics registry
-  /// is attached. Decode keys with `LinkKeyFrom` / `LinkKeyTo`.
-  const std::unordered_map<uint64_t, LinkCounters>& link_counters() const {
-    return link_counters_;
-  }
-  static NodeId LinkKeyFrom(uint64_t key) {
-    return static_cast<NodeId>(key >> 32) - 1;
-  }
-  static NodeId LinkKeyTo(uint64_t key) {
-    return static_cast<NodeId>(key & 0xffffffffu) - 1;
-  }
 
   // rt::Runtime timer entry (Node::SetTimer): arms on the node's event loop.
   uint64_t ArmTimer(Node* node, Duration delay, uint64_t token) override;
@@ -242,8 +214,6 @@ class Network : public rt::Runtime {
   std::vector<Rng> send_rngs_;
   NetworkStats stats_;
   BufferPool pool_;
-  std::unordered_map<uint64_t, LinkCounters> link_counters_;
-  obs::MetricsRegistry* metrics_ = nullptr;
   obs::EventLoopProfiler* profiler_ = nullptr;
   obs::FlightRecorder* flight_ = nullptr;
   MessageTap tap_;

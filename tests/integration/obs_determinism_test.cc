@@ -1,17 +1,19 @@
 // Observability must be a pure observer: a run with the full stack attached
-// (metrics, profiler, an unbounded flight recorder) has to produce
-// bit-identical simulation results to the same run with it off. Flight seqs
+// (the profiler and an unbounded flight recorder) has to produce bit-identical
+// simulation results to the same run with it off. Flight seqs
 // come from plain per-site counters and ride the delivery closure, never
 // payload bytes, so RNG draw order and event ordering are unchanged — this
 // test is the regression guard for that contract. The fault-path cases also
 // pin repeatability end to end: two runs of the same schedule agree on the
-// full digest and on the metrics registry's JSON, byte for byte.
+// full digest and on the run's `BuildMetricsSnapshot` JSON (counters, client
+// latency, flight summary), byte for byte.
 
 #include <gtest/gtest.h>
 
 #include <string>
 #include <tuple>
 #include <utility>
+#include <vector>
 
 #include "common/json.h"
 #include "harness/experiment.h"
@@ -39,7 +41,8 @@ struct Scenario {
 
 struct Run {
   Digest digest;
-  std::string metrics_json;  ///< "" when metrics are off
+  /// `BuildMetricsSnapshot` without the wall-clock "profiler" key.
+  std::string snapshot_json;
 };
 
 Run RunOnce(const Scenario& sc, obs::ObsOptions obs_opts) {
@@ -65,9 +68,10 @@ Run RunOnce(const Scenario& sc, obs::ObsOptions obs_opts) {
       r.network.messages_duplicated, r.network.bytes_sent,
       r.instances_completed, experiment.TotalSiteTokens(),
       r.aggregate.latency.count(), r.aggregate.latency.Percentile(99));
-  if (r.obs != nullptr && r.obs->metrics() != nullptr) {
-    out.metrics_json = JsonDump(r.obs->metrics()->ToJson());
-  }
+  JsonValue snapshot = BuildMetricsSnapshot(r);
+  std::erase_if(snapshot.as_object(),
+                [](const auto& field) { return field.first == "profiler"; });
+  out.snapshot_json = JsonDump(snapshot);
   return out;
 }
 
@@ -86,8 +90,12 @@ TEST(ObsDeterminismTest, ObsOnVsOffIsBitIdentical_Any) {
 
 TEST(ObsDeterminismTest, ObservedRunsAreRepeatable) {
   const Scenario sc;
-  EXPECT_EQ(RunOnce(sc, obs::ObsOptions::All()).digest,
-            RunOnce(sc, obs::ObsOptions::All()).digest);
+  const auto first = RunOnce(sc, obs::ObsOptions::All());
+  const auto second = RunOnce(sc, obs::ObsOptions::All());
+  EXPECT_EQ(first.digest, second.digest);
+  EXPECT_NE(first.snapshot_json.find("\"flight\""), std::string::npos);
+  EXPECT_TRUE(first.snapshot_json == second.snapshot_json)
+      << "snapshot JSON differs between identical runs";
 }
 
 /// A fault schedule on a 20 s, 300-token run with no background loss:
@@ -105,9 +113,9 @@ void ExpectFaultRunDeterministic(sim::FaultSchedule faults,
   const Run again = RunOnce(sc, obs::ObsOptions::All());
   EXPECT_EQ(on.digest, off.digest);
   EXPECT_EQ(again.digest, on.digest);
-  EXPECT_FALSE(on.metrics_json.empty());
-  EXPECT_TRUE(again.metrics_json == on.metrics_json)
-      << "metrics JSON differs between identical runs";
+  EXPECT_NE(on.snapshot_json.find("\"flight\""), std::string::npos);
+  EXPECT_TRUE(again.snapshot_json == on.snapshot_json)
+      << "snapshot JSON differs between identical runs";
 }
 
 /// A generated chaos schedule over the five sites: crashes, partitions,

@@ -53,7 +53,6 @@ TEST(RealSmokeTest, FigThreeBWorkloadSimVsReal) {
 
   // Observability rode along on the real backend too.
   EXPECT_TRUE(real.flight.is_object());
-  EXPECT_TRUE(real.metrics.is_object());
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/cluster.h"
@@ -433,15 +435,36 @@ TEST_F(NetworkTest, StatsCountBytes) {
   EXPECT_EQ(cluster_.net().stats().messages_delivered, 2u);
 }
 
-TEST_F(NetworkTest, LinkCountersAreOffWithoutMetrics) {
-  a_->SendPing(b_->id(), "x");
-  cluster_.env().RunUntilIdle();
-  EXPECT_TRUE(cluster_.net().link_counters().empty());
-}
-
 TEST_F(NetworkTest, LinkCounterDropAccountingSumsToAttempts) {
-  obs::MetricsRegistry metrics;
-  cluster_.net().set_observability(nullptr, &metrics, nullptr);
+  // Tallies the MessageTap per directed link.
+  struct LinkTally {
+    uint64_t sent = 0;
+    uint64_t dropped_at_send = 0;
+    uint64_t delivered = 0;
+    uint64_t dropped_at_delivery = 0;
+    uint64_t bytes = 0;  ///< payload bytes attempted on this link
+  };
+  std::map<std::pair<NodeId, NodeId>, LinkTally> links;
+  cluster_.net().set_message_tap([&](SimTime, NodeId from, NodeId to,
+                                     uint32_t, size_t bytes, TapEvent ev) {
+    LinkTally& t = links[{from, to}];
+    switch (ev) {
+      case TapEvent::kSent:
+        ++t.sent;
+        t.bytes += bytes;
+        break;
+      case TapEvent::kDroppedAtSend:
+        ++t.dropped_at_send;
+        t.bytes += bytes;
+        break;
+      case TapEvent::kDelivered:
+        ++t.delivered;
+        break;
+      case TapEvent::kDroppedAtDelivery:
+        ++t.dropped_at_delivery;
+        break;
+    }
+  });
 
   // Exercise every lifecycle outcome: plain deliveries, a send-time loss,
   // a send-time link cut, a delivery-time crash drop, and duplicates.
@@ -466,38 +489,34 @@ TEST_F(NetworkTest, LinkCounterDropAccountingSumsToAttempts) {
   cluster_.net().set_duplicate_rate(0.0);
   cluster_.env().RunUntilIdle();
 
-  const auto& links = cluster_.net().link_counters();
   ASSERT_FALSE(links.empty());
+  const std::pair<NodeId, NodeId> a_to_b{a_->id(), b_->id()};
+  const std::pair<NodeId, NodeId> a_to_c{a_->id(), c_->id()};
   uint64_t attempts = 0;
   uint64_t terminal = 0;
-  for (const auto& [key, lc] : links) {
-    // The invariant per directed link: every attempted or duplicated copy
-    // meets exactly one terminal fate.
-    EXPECT_EQ(lc.attempts + lc.duplicated,
-              lc.dropped_at_send + lc.delivered + lc.dropped_at_delivery)
-        << "link " << Network::LinkKeyFrom(key) << "->"
-        << Network::LinkKeyTo(key);
-    attempts += lc.attempts;
-    terminal += lc.dropped_at_send + lc.delivered + lc.dropped_at_delivery;
+  uint64_t duplicated = 0;
+  for (const auto& [link, t] : links) {
+    // The invariant per directed link: every sent or duplicated copy meets
+    // exactly one terminal fate. Only a->b carried a duplicate.
+    const uint64_t link_duplicated = link == a_to_b ? 1 : 0;
+    EXPECT_EQ(t.sent + link_duplicated, t.delivered + t.dropped_at_delivery)
+        << "link " << link.first << "->" << link.second;
+    attempts += t.sent + t.dropped_at_send;
+    terminal += t.dropped_at_send + t.delivered + t.dropped_at_delivery;
+    duplicated += link_duplicated;
   }
   const NetworkStats& s = cluster_.net().stats();
   EXPECT_EQ(attempts, s.messages_sent);
+  EXPECT_EQ(duplicated, s.messages_duplicated);
   EXPECT_EQ(terminal, s.messages_sent + s.messages_duplicated);
 
-  const auto a_to_b = links.find((static_cast<uint64_t>(a_->id() + 1) << 32) |
-                                 static_cast<uint64_t>(b_->id() + 1));
-  ASSERT_NE(a_to_b, links.end());
-  EXPECT_EQ(a_to_b->second.dropped_at_send, 1u);      // the loss
-  EXPECT_EQ(a_to_b->second.dropped_at_delivery, 1u);  // the crash drop
-  EXPECT_EQ(a_to_b->second.duplicated, 1u);
-  EXPECT_GT(a_to_b->second.bytes, 0u);
-  EXPECT_EQ(Network::LinkKeyFrom(a_to_b->first), a_->id());
-  EXPECT_EQ(Network::LinkKeyTo(a_to_b->first), b_->id());
+  ASSERT_EQ(links.count(a_to_b), 1u);
+  EXPECT_EQ(links[a_to_b].dropped_at_send, 1u);      // the loss
+  EXPECT_EQ(links[a_to_b].dropped_at_delivery, 1u);  // the crash drop
+  EXPECT_GT(links[a_to_b].bytes, 0u);
 
-  const auto a_to_c = links.find((static_cast<uint64_t>(a_->id() + 1) << 32) |
-                                 static_cast<uint64_t>(c_->id() + 1));
-  ASSERT_NE(a_to_c, links.end());
-  EXPECT_EQ(a_to_c->second.dropped_at_send, 1u);  // the link cut
+  ASSERT_EQ(links.count(a_to_c), 1u);
+  EXPECT_EQ(links[a_to_c].dropped_at_send, 1u);  // the link cut
 }
 
 }  // namespace

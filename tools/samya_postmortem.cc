@@ -2,9 +2,10 @@
 //
 // A bundle ("samya-postmortem-v1", written by samya_search or this tool's
 // capture command) is the self-contained record of one run: the reproducer
-// case, the violation list, a metrics snapshot, and the flight-recorder
-// history (DESIGN.md §8). Spans, message flights and every table below are
-// derived from that history.
+// case, the violation list, the run's result snapshot (counters, client
+// latency, loop profile), and the flight-recorder history (DESIGN.md §8).
+// Spans, message flights and every table below are derived from that
+// history.
 //
 // Subcommands:
 //   capture --case FILE [--out FILE]
@@ -14,8 +15,8 @@
 //     clean bundle is the baseline side of a diff.
 //   capture --out FILE [--system NAME] [--duration-s N] [--sites N]
 //           [--max-tokens N] [--seed N] [--read-ratio X] [--load-scale X]
-//     Runs one experiment with every obs component on (metrics, profiler,
-//     an unbounded flight recorder) and writes its bundle.
+//     Runs one experiment with every obs component on (the profiler and an
+//     unbounded flight recorder) and writes its bundle.
 //   report FILE [--last N] [--site S]
 //     Span latency by name, the slowest rounds with their phases, message
 //     counts / drops / in-flight / flight time by type, Avantan messages per
@@ -41,13 +42,12 @@
 //   samya_postmortem report /tmp/corpus/chaos_..._postmortem.json --last 40
 //   samya_postmortem diff clean_postmortem.json mutated_postmortem.json
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 #include <string>
 #include <vector>
 
+#include "flag_parse.h"
 #include "harness/postmortem.h"
 
 using namespace samya;           // NOLINT — tool code
@@ -67,34 +67,6 @@ void Usage() {
       "       samya_postmortem export FILE [--out FILE]\n"
       "systems: samya_majority samya_any samya_majority_no_predict\n"
       "         samya_any_no_predict ...\n");
-}
-
-[[noreturn]] void UsageExit() {
-  Usage();
-  std::exit(2);
-}
-
-/// The whole of `text` as an integer in [lo, hi]; usage + exit 2 otherwise.
-int64_t ParseInt(const char* text, int64_t lo, int64_t hi) {
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(text, &end, 10);
-  if (end == text || *end != '\0' || errno != 0 || v < lo || v > hi) {
-    UsageExit();
-  }
-  return v;
-}
-
-/// The whole of `text` as a finite number in [lo, hi]; usage + exit 2
-/// otherwise.
-double ParseReal(const char* text, double lo, double hi) {
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(text, &end);
-  if (end == text || *end != '\0' || errno != 0 || !(v >= lo && v <= hi)) {
-    UsageExit();
-  }
-  return v;
 }
 
 /// "<x>.json" -> "<x><suffix>.json"; appends when FILE has no .json tail.
@@ -272,7 +244,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string cmd = argv[1];
-  constexpr int64_t kIntMax = std::numeric_limits<int32_t>::max();
   std::vector<std::string> positional;
   std::string case_path;
   std::string out_path;
@@ -285,7 +256,7 @@ int main(int argc, char** argv) {
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) UsageExit();
+      if (i + 1 >= argc) tools::UsageExit(Usage);
       return argv[++i];
     };
     const bool experiment_flag =
@@ -293,7 +264,7 @@ int main(int argc, char** argv) {
         arg == "--max-tokens" || arg == "--seed" || arg == "--read-ratio" ||
         arg == "--load-scale";
     if (experiment_flag) {
-      if (cmd != "capture") UsageExit();
+      if (cmd != "capture") tools::UsageExit(Usage);
       experiment_flags = true;
     }
     if (arg == "--case") {
@@ -301,9 +272,10 @@ int main(int argc, char** argv) {
     } else if (arg == "--out") {
       out_path = next();
     } else if (arg == "--last") {
-      last = ParseInt(next(), 0, std::numeric_limits<int64_t>::max());
+      last = tools::ParseInt(next(), 0, tools::kInt64Max, Usage);
     } else if (arg == "--site") {
-      site = static_cast<int32_t>(ParseInt(next(), 0, kIntMax));
+      site = static_cast<int32_t>(
+          tools::ParseInt(next(), 0, tools::kIntMax, Usage));
     } else if (arg == "--system") {
       const std::string name = next();
       if (!SystemKindFromId(name, &opts.system)) {
@@ -311,25 +283,26 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--duration-s") {
-      opts.duration = Seconds(ParseInt(next(), 1, kIntMax));
+      opts.duration =
+          Seconds(tools::ParseInt(next(), 1, tools::kIntMax, Usage));
     } else if (arg == "--sites") {
-      opts.num_sites = static_cast<int>(ParseInt(next(), 1, 1024));
+      opts.num_sites =
+          static_cast<int>(tools::ParseInt(next(), 1, 1024, Usage));
     } else if (arg == "--max-tokens") {
-      opts.max_tokens =
-          ParseInt(next(), 0, std::numeric_limits<int64_t>::max());
+      opts.max_tokens = tools::ParseInt(next(), 1, tools::kInt64Max, Usage);
     } else if (arg == "--seed") {
       opts.seed = static_cast<uint64_t>(
-          ParseInt(next(), 0, std::numeric_limits<int64_t>::max()));
+          tools::ParseInt(next(), 0, tools::kInt64Max, Usage));
     } else if (arg == "--read-ratio") {
-      opts.read_ratio = ParseReal(next(), 0.0, 1.0);
+      opts.read_ratio = tools::ParseReal(next(), 0.0, 1.0, Usage);
     } else if (arg == "--load-scale") {
       opts.load_scale =
-          ParseReal(next(), 0.0, std::numeric_limits<double>::max());
+          tools::ParseReal(next(), tools::kPositive, tools::kRealMax, Usage);
     } else if (arg == "--help") {
       Usage();
       return 0;
     } else if (!arg.empty() && arg[0] == '-') {
-      UsageExit();
+      tools::UsageExit(Usage);
     } else {
       positional.push_back(arg);
     }
@@ -345,7 +318,7 @@ int main(int argc, char** argv) {
     if (case_path.empty() && positional.empty() && !out_path.empty()) {
       return RunExperimentCapture(opts, out_path);
     }
-    UsageExit();
+    tools::UsageExit(Usage);
   }
   if (cmd == "report" && positional.size() == 1) {
     return RunReport(positional[0], last, site);

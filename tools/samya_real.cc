@@ -9,32 +9,30 @@
 //
 // Flags:
 //   --seed N           experiment seed (default 42)
-//   --requests N       requests per region (default 40)
-//   --spacing-ms N     inter-request spacing per region (default 25)
-//   --tokens N         global limit M_e (default 5000)
-//   --sites N          number of Samya sites (default 5)
-//   --loss P           real-backend message loss rate (default 0)
-//   --delay-factor F   scales the injected latency model (default 1.0)
+//   --requests N       requests per region, >= 1 (default 40)
+//   --spacing-ms N     inter-request spacing per region, >= 1 (default 25)
+//   --tokens N         global limit M_e, >= 1 (default 5000)
+//   --sites N          number of Samya sites, 1..64 (default 5)
+//   --loss P           real-backend message loss rate in [0, 1] (default 0)
+//   --delay-factor F   scales the injected latency model, > 0 (default 1.0)
 //   --backend B        sim | real | both (default both)
-//   --metrics-out F    write the real run's metrics snapshot JSON
 //   --flight-out F     write the real run's flight-recorder JSON
 //
 // Exit status: 0 on success; 1 when either backend fails its invariant
 // gate (Eq. 1 conservation, zero violations) or — when both backends ran
 // with loss 0 — when messages/request diverges by more than 5%, or (at
 // delay factor 1) when the real p50 latency is above 1.5x or below 0.95x
-// the simulator's.
+// the simulator's; 2 on a bad flag, before any run starts.
 //
 // Example:
-//   samya_real --requests 40 --metrics-out real_metrics.json
+//   samya_real --requests 40 --flight-out real_flight.json
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 
 #include "common/json.h"
+#include "flag_parse.h"
 #include "harness/real_harness.h"
 
 using namespace samya;           // NOLINT — tool code
@@ -53,13 +51,15 @@ constexpr double kMaxP50Ratio = 1.5;
 /// rt::kDeliveryWindow before its drawn latency, and that must never make
 /// the real backend look faster than its model.
 constexpr double kMinP50Ratio = 0.95;
+/// The real backend runs one loop thread and one socket per node.
+constexpr int64_t kMaxSites = 64;
 
 void Usage() {
   std::fprintf(stderr,
                "usage: samya_real [--seed N] [--requests N] [--spacing-ms N]\n"
                "                  [--tokens N] [--sites N] [--loss P]\n"
                "                  [--delay-factor F] [--backend sim|real|both]\n"
-               "                  [--metrics-out F] [--flight-out F]\n");
+               "                  [--flight-out F]\n");
 }
 
 bool WriteJson(const std::string& path, const JsonValue& v) {
@@ -106,36 +106,34 @@ void PrintRun(const BackendRun& run) {
 int main(int argc, char** argv) {
   RealHarnessOptions opts;
   std::string backend = "both";
-  std::string metrics_out;
   std::string flight_out;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        Usage();
-        std::exit(2);
-      }
+      if (i + 1 >= argc) tools::UsageExit(Usage);
       return argv[++i];
     };
     if (arg == "--seed") {
-      opts.seed = std::strtoull(next(), nullptr, 10);
+      opts.seed = static_cast<uint64_t>(
+          tools::ParseInt(next(), 0, tools::kInt64Max, Usage));
     } else if (arg == "--requests") {
-      opts.requests_per_region = std::atoi(next());
+      opts.requests_per_region =
+          static_cast<int>(tools::ParseInt(next(), 1, tools::kIntMax, Usage));
     } else if (arg == "--spacing-ms") {
-      opts.spacing = Millis(std::atoll(next()));
+      opts.spacing = Millis(tools::ParseInt(next(), 1, tools::kIntMax, Usage));
     } else if (arg == "--tokens") {
-      opts.max_tokens = std::atoll(next());
+      opts.max_tokens = tools::ParseInt(next(), 1, tools::kInt64Max, Usage);
     } else if (arg == "--sites") {
-      opts.num_sites = std::atoi(next());
+      opts.num_sites =
+          static_cast<int>(tools::ParseInt(next(), 1, kMaxSites, Usage));
     } else if (arg == "--loss") {
-      opts.netem.loss_rate = std::atof(next());
+      opts.netem.loss_rate = tools::ParseReal(next(), 0.0, 1.0, Usage);
     } else if (arg == "--delay-factor") {
-      opts.netem.delay_factor = std::atof(next());
+      opts.netem.delay_factor =
+          tools::ParseReal(next(), tools::kPositive, tools::kRealMax, Usage);
     } else if (arg == "--backend") {
       backend = next();
-    } else if (arg == "--metrics-out") {
-      metrics_out = next();
     } else if (arg == "--flight-out") {
       flight_out = next();
     } else {
@@ -171,7 +169,6 @@ int main(int argc, char** argv) {
     real_run = harness.RunReal();
     PrintRun(real_run);
     ok = ok && real_run.conservation_exact && real_run.violations == 0;
-    if (!metrics_out.empty()) ok = WriteJson(metrics_out, real_run.metrics) && ok;
     if (!flight_out.empty()) ok = WriteJson(flight_out, real_run.flight) && ok;
   }
 

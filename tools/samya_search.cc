@@ -64,6 +64,7 @@
 #include <vector>
 
 #include "common/json.h"
+#include "flag_parse.h"
 #include "harness/chaos.h"
 #include "harness/explore.h"
 #include "harness/parallel_runner.h"
@@ -95,6 +96,10 @@ void Usage() {
       "--disconnected arms Samya's degraded mode so isolated sites keep\n"
       "serving from their local pool behind a durable op-log.\n");
 }
+
+/// Simulated sites per run, and sweep workers (0 = the hardware default).
+constexpr int64_t kMaxSites = 1024;
+constexpr int64_t kMaxThreads = 256;
 
 enum Command : unsigned { kChaos = 1, kExplore = 2, kDfs = 4, kReplay = 8 };
 
@@ -137,11 +142,14 @@ class Flags {
     const auto it = values_.find(name);
     return it == values_.end() ? def : it->second;
   }
-  int64_t Int(const char* name, int64_t def) const {
-    return Has(name) ? std::atoll(Str(name).c_str()) : def;
+  /// A present value must lie in [lo, hi] (tools/flag_parse.h).
+  int64_t Int(const char* name, int64_t def, int64_t lo, int64_t hi) const {
+    return Has(name) ? tools::ParseInt(Str(name).c_str(), lo, hi, Usage)
+                     : def;
   }
-  double Real(const char* name, double def) const {
-    return Has(name) ? std::atof(Str(name).c_str()) : def;
+  double Real(const char* name, double def, double lo, double hi) const {
+    return Has(name) ? tools::ParseReal(Str(name).c_str(), lo, hi, Usage)
+                     : def;
   }
   void Set(const std::string& name, std::string value) {
     values_[name] = std::move(value);
@@ -150,6 +158,10 @@ class Flags {
  private:
   std::map<std::string, std::string> values_;
 };
+
+uint64_t SeedBase(const Flags& f) {
+  return static_cast<uint64_t>(f.Int("--seed-base", 1, 0, tools::kInt64Max));
+}
 
 std::vector<std::string> SplitCsv(const std::string& s) {
   std::vector<std::string> out;
@@ -269,14 +281,13 @@ ChaosCase Shrink(const ChaosCase& c, int* runs_used) {
   return ShrinkCase(c, AuditOptions(), /*max_runs=*/300, runs_used);
 }
 
-/// Re-runs the minimized case with an unbounded flight recorder and the
-/// metrics registry, and ships the post-mortem bundle with the run's full
-/// history. Both are pure observers, so the re-run replays the identical
-/// event sequence the case file pins.
+/// Re-runs the minimized case with an unbounded flight recorder and ships
+/// the post-mortem bundle with the run's full history. The recorder is a
+/// pure observer, so the re-run replays the identical event sequence the
+/// case file pins.
 void WriteArtifacts(const ChaosCase& c, const std::string& base) {
   ExperimentOptions opts = MakeChaosOptions(c, AuditOptions());
   opts.obs.flight_capacity = obs::FlightRecorder::kUnbounded;
-  opts.obs.metrics = true;
   Experiment experiment(opts);
   experiment.Setup();
   const ExperimentResult r = experiment.Run();
@@ -356,11 +367,15 @@ ExploreCase MakeExploreCase(const Flags& f, SystemKind system,
   c.system = system;
   c.scheduler = scheduler;
   c.seed = seed;
-  c.num_sites = static_cast<int>(f.Int("--sites", c.num_sites));
-  c.max_tokens = f.Int("--max-tokens", c.max_tokens);
-  c.duration = Seconds(f.Int("--duration-s", c.duration / kSecond));
-  c.window = Millis(f.Int("--window-ms", c.window / kMillisecond));
-  c.pct_depth = static_cast<int>(f.Int("--pct-depth", c.pct_depth));
+  c.num_sites =
+      static_cast<int>(f.Int("--sites", c.num_sites, 1, kMaxSites));
+  c.max_tokens = f.Int("--max-tokens", c.max_tokens, 1, tools::kInt64Max);
+  c.duration = Seconds(
+      f.Int("--duration-s", c.duration / kSecond, 1, tools::kIntMax));
+  c.window = Millis(
+      f.Int("--window-ms", c.window / kMillisecond, 0, tools::kIntMax));
+  c.pct_depth = static_cast<int>(
+      f.Int("--pct-depth", c.pct_depth, 1, tools::kIntMax));
   c.mutation = f.Str("--mutation");
   return c;
 }
@@ -386,16 +401,18 @@ bool WriteCase(const JsonValue& doc, const std::string& base) {
 template <typename Case>
 int Sweep(const Flags& f, const std::string& cmd, const std::string& header,
           const char* verdict, const std::vector<Case>& cases) {
+  // Test-only mutations are process-global flags, so mutated sweeps must
+  // not share the process with concurrent runs.
+  const int threads =
+      f.Has("--mutation")
+          ? 1
+          : static_cast<int>(f.Int("--threads", 0, 0, kMaxThreads));
   std::printf("samya_search %s: %zu configs %s\n", cmd.c_str(), cases.size(),
               header.c_str());
   if (f.Has("--list")) {
     for (const Case& c : cases) PrintListed(c);
     return 0;
   }
-  // Test-only mutations are process-global flags, so mutated sweeps must
-  // not share the process with concurrent runs.
-  const int threads =
-      f.Has("--mutation") ? 1 : static_cast<int>(f.Int("--threads", 0));
   std::vector<decltype(Run(cases.front()))> results(cases.size());
   RunIndexed(cases.size(), threads,
              [&](size_t i) { results[i] = Run(cases[i]); });
@@ -437,14 +454,17 @@ int RunChaos(const Flags& f) {
   const std::vector<SystemKind> systems = ParseSystems(f);
   std::vector<double> intensities;
   for (const std::string& v : SplitCsv(f.Str("--intensities", "0.5,1,2,3"))) {
-    intensities.push_back(std::atof(v.c_str()));
+    intensities.push_back(
+        tools::ParseReal(v.c_str(), 0.0, tools::kRealMax, Usage));
   }
-  const int seeds = static_cast<int>(f.Int("--seeds", 25));
-  const uint64_t seed_base = static_cast<uint64_t>(f.Int("--seed-base", 1));
+  const int seeds = static_cast<int>(f.Int("--seeds", 25, 1, tools::kIntMax));
+  const uint64_t seed_base = SeedBase(f);
   const ChaosCase defaults;
-  const int sites = static_cast<int>(f.Int("--sites", defaults.num_sites));
+  const int sites =
+      static_cast<int>(f.Int("--sites", defaults.num_sites, 1, kMaxSites));
   const int64_t duration_s =
-      f.Int("--duration-s", defaults.duration / kSecond);
+      f.Int("--duration-s", defaults.duration / kSecond, 1, tools::kIntMax);
+  const double isolate = f.Real("--isolate", 0.0, 0.0, tools::kRealMax);
   const bool guard = !f.Has("--no-quiescence-guard");
   std::vector<ChaosCase> cases;
   for (SystemKind system : systems) {
@@ -452,8 +472,9 @@ int RunChaos(const Flags& f) {
       for (int s = 0; s < seeds; ++s) {
         ChaosCase c = MakeNemesisCase(
             system, seed_base + static_cast<uint64_t>(s), intensity, sites,
-            f.Real("--isolate", 0.0), f.Has("--disconnected"));
-        c.max_tokens = f.Int("--max-tokens", c.max_tokens);
+            isolate, f.Has("--disconnected"));
+        c.max_tokens =
+            f.Int("--max-tokens", c.max_tokens, 1, tools::kInt64Max);
         c.duration = Seconds(duration_s);
         c.quiescence_guard = guard;
         cases.push_back(c);
@@ -473,8 +494,8 @@ int RunExplore(const Flags& f) {
   const std::vector<SystemKind> systems = ParseSystems(f);
   const std::vector<SchedulerKind> schedulers = ParseKinds(
       f, "--schedulers", "random,pct", "scheduler", SchedulerKindFromId);
-  const int seeds = static_cast<int>(f.Int("--seeds", 10));
-  const uint64_t seed_base = static_cast<uint64_t>(f.Int("--seed-base", 1));
+  const int seeds = static_cast<int>(f.Int("--seeds", 10, 1, tools::kIntMax));
+  const uint64_t seed_base = SeedBase(f);
   std::vector<ExploreCase> cases;
   for (SystemKind system : systems) {
     for (SchedulerKind sched : schedulers) {
@@ -505,11 +526,13 @@ int RunExplore(const Flags& f) {
 int RunDfs(const Flags& f) {
   const ExploreCase base =
       MakeExploreCase(f, ParseSystems(f).front(), SchedulerKind::kReplay,
-                      static_cast<uint64_t>(f.Int("--seed-base", 1)));
+                      SeedBase(f));
   DfsOptions dopts;
-  dopts.max_depth =
-      static_cast<uint32_t>(f.Int("--max-depth", dopts.max_depth));
-  dopts.max_runs = static_cast<uint64_t>(f.Int("--max-runs", dopts.max_runs));
+  dopts.max_depth = static_cast<uint32_t>(
+      f.Int("--max-depth", dopts.max_depth, 0, tools::kIntMax));
+  dopts.max_runs = static_cast<uint64_t>(
+      f.Int("--max-runs", static_cast<int64_t>(dopts.max_runs), 1,
+            tools::kInt64Max));
   std::printf("dfs: %s seed=%llu sites=%d M=%lld depth<=%u runs<=%llu\n",
               SystemIdName(base.system),
               static_cast<unsigned long long>(base.seed), base.num_sites,
