@@ -1,6 +1,7 @@
 // Quickstart: bring up a 5-region Samya deployment, acquire and release
 // tokens through an app manager, trigger a redistribution, and read the
-// global availability.
+// global availability. Exits 1 unless the script committed and Eq. 1 holds
+// on the measured pools and client counters (ctest runs it).
 //
 // Build & run:
 //   cmake -B build -G Ninja && cmake --build build
@@ -15,6 +16,12 @@
 
 using namespace samya;  // NOLINT — example code
 
+namespace {
+constexpr int64_t kMaxTokens = 5000;  // M_e, 1000 per site
+constexpr int64_t kAcquire = 600;
+constexpr int64_t kRelease = 100;
+}  // namespace
+
 int main() {
   std::printf("Samya quickstart: 5 geo-distributed sites, M_e = 5000\n\n");
 
@@ -27,7 +34,7 @@ int main() {
   for (int i = 0; i < 5; ++i) {
     core::SiteOptions opts;
     opts.sites = site_ids;
-    opts.initial_tokens = 1000;
+    opts.initial_tokens = kMaxTokens / 5;
     opts.protocol = core::Protocol::kAvantanMajority;
     opts.enable_prediction = false;  // keep the quickstart reactive-only
     auto* site =
@@ -47,9 +54,9 @@ int main() {
   harness::WorkloadClientOptions copts;
   copts.servers = {am->id()};
   std::vector<workload::Request> script = {
-      {Millis(10), workload::Request::Type::kAcquire, 600},
-      {Millis(20), workload::Request::Type::kAcquire, 600},
-      {Seconds(2), workload::Request::Type::kRelease, 100},
+      {Millis(10), workload::Request::Type::kAcquire, kAcquire},
+      {Millis(20), workload::Request::Type::kAcquire, kAcquire},
+      {Seconds(2), workload::Request::Type::kRelease, kRelease},
       {Seconds(3), workload::Request::Type::kRead, 1},
   };
   auto* client = cluster.AddNode<harness::WorkloadClient>(
@@ -60,16 +67,16 @@ int main() {
   cluster.env().RunFor(Seconds(5));
 
   // 6. Inspect the outcome.
+  const auto& stats = client->stats();
   std::printf("client: %llu acquires, %llu releases, %llu reads committed\n",
-              static_cast<unsigned long long>(client->stats().committed_acquires),
-              static_cast<unsigned long long>(client->stats().committed_releases),
-              static_cast<unsigned long long>(client->stats().committed_reads));
+              static_cast<unsigned long long>(stats.committed_acquires),
+              static_cast<unsigned long long>(stats.committed_releases),
+              static_cast<unsigned long long>(stats.committed_reads));
   std::printf("commit latency: p50=%.2fms p99=%.2fms (the second acquire paid "
               "for a redistribution)\n",
-              client->stats().latency.P50() / 1000.0,
-              client->stats().latency.P99() / 1000.0);
+              stats.latency.P50() / 1000.0, stats.latency.P99() / 1000.0);
 
-  int64_t total = 0;
+  int64_t pooled = 0;
   for (auto* site : sites) {
     std::printf("site %d (%s): %lld tokens left, %llu redistributions\n",
                 site->id(), sim::RegionName(site->region()),
@@ -77,11 +84,18 @@ int main() {
                 static_cast<unsigned long long>(
                     site->stats().reactive_redistributions +
                     site->stats().proactive_redistributions));
-    total += site->tokens_left();
+    pooled += site->tokens_left();
   }
-  std::printf("\nEq. 1 check: %lld in pools + %lld acquired = %lld == M_e\n",
-              static_cast<long long>(total),
-              static_cast<long long>(1200 - 100),
-              static_cast<long long>(total + 1100));
-  return 0;
+  const int64_t held =
+      static_cast<int64_t>(stats.committed_acquires) * kAcquire -
+      static_cast<int64_t>(stats.committed_releases) * kRelease;
+  std::printf("\nEq. 1 check: %lld in pools + %lld held by the client = %lld "
+              "(M_e = 5000)\n",
+              static_cast<long long>(pooled), static_cast<long long>(held),
+              static_cast<long long>(pooled + held));
+  const bool ok = pooled + held == kMaxTokens &&
+                  stats.committed_acquires == 2 &&
+                  stats.committed_releases == 1;
+  if (!ok) std::printf("FAIL: the script did not commit or Eq. 1 broke\n");
+  return ok ? 0 : 1;
 }

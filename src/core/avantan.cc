@@ -11,17 +11,7 @@
 namespace samya::core {
 
 namespace {
-constexpr uint64_t kLeaderTimer = 2;
-constexpr uint64_t kWatchdogTimer = 3;
-constexpr uint64_t kStatusRetryTimer = 4;
 constexpr int kMaxAcceptRetransmits = 3;
-
-std::string AbortedKey(InstanceId i) {
-  return "site/aborted/" + std::to_string(i);
-}
-std::string OutcomeKey(InstanceId i) {
-  return "site/outcome/" + std::to_string(i);
-}
 }  // namespace
 
 // --------------------------------------------------------------------------

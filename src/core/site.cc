@@ -10,9 +10,6 @@ namespace samya::core {
 
 namespace {
 constexpr uint64_t kEpochTimer = 1;
-constexpr uint64_t kLeaderTimer = 2;
-constexpr uint64_t kWatchdogTimer = 3;
-constexpr uint64_t kStatusRetryTimer = 4;
 constexpr uint64_t kHeartbeatTimer = 6;
 constexpr uint64_t kReconcileRetryTimer = 7;
 
@@ -21,9 +18,6 @@ bool IsReadTimer(uint64_t token) { return (token & 7) == 5; }
 uint64_t ReadIdOf(uint64_t token) { return token >> 3; }
 
 const char* kKeyCore = "site/core";
-std::string AbortedKey(InstanceId i) {
-  return "site/aborted/" + std::to_string(i);
-}
 }  // namespace
 
 Site::Site(rt::NodeId id, rt::Region region, SiteOptions opts)
@@ -192,13 +186,14 @@ void Site::LoadDurable() {
     }
   }
   for (const auto& key : storage_->Keys()) {
-    if (key.rfind("site/outcome/", 0) == 0) {
+    if (key.starts_with(kOutcomePrefix)) {
       auto v = storage_->Get(key);
       SAMYA_CHECK(v.ok());
       BufferReader r(*v);
-      outcomes_[std::stoll(key.substr(13))] = StateList::DecodeFrom(r).value();
-    } else if (key.rfind("site/aborted/", 0) == 0) {
-      aborted_.insert(std::stoll(key.substr(13)));
+      outcomes_[std::stoll(key.substr(kOutcomePrefix.size()))] =
+          StateList::DecodeFrom(r).value();
+    } else if (key.starts_with(kAbortedPrefix)) {
+      aborted_.insert(std::stoll(key.substr(kAbortedPrefix.size())));
     }
   }
 }

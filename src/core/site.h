@@ -8,6 +8,8 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <string>
+#include <string_view>
 #include <unordered_set>
 #include <vector>
 
@@ -177,6 +179,19 @@ class Site : public rt::Node {
  private:
   enum class Role { kNone, kLeader, kCohort };
   enum class LeaderPhase { kIdle, kElection, kAccept };
+
+  // Timer tokens and durable keys that site.cc and avantan.cc both use.
+  static constexpr uint64_t kLeaderTimer = 2;
+  static constexpr uint64_t kWatchdogTimer = 3;
+  static constexpr uint64_t kStatusRetryTimer = 4;
+  static constexpr std::string_view kOutcomePrefix = "site/outcome/";
+  static constexpr std::string_view kAbortedPrefix = "site/aborted/";
+  static std::string OutcomeKey(InstanceId i) {
+    return std::string(kOutcomePrefix) + std::to_string(i);
+  }
+  static std::string AbortedKey(InstanceId i) {
+    return std::string(kAbortedPrefix) + std::to_string(i);
+  }
 
   struct QueuedRequest {
     rt::NodeId client = rt::kInvalidNode;

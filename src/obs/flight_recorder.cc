@@ -32,11 +32,12 @@ void FlightRecorder::Push(const FlightEvent& ev) {
   if (ring_.size() < capacity_) {
     ring_.push_back(ev);
   } else {
-    FlightEvent& slot = ring_[static_cast<size_t>(total_ % capacity_)];
+    FlightEvent& slot = ring_[cursor_];
     if (slot.at > evicted_until_) evicted_until_ = slot.at;
     slot = ev;
   }
   ++total_;
+  if (++cursor_ == capacity_) cursor_ = 0;
 }
 
 uint32_t FlightRecorder::Record(SimTime at, int32_t site, FlightKind kind,
@@ -68,6 +69,7 @@ void FlightRecorder::Merge(const FlightRecorder& other) {
     seq_[idx] = std::max(seq_[idx], ev.seq + 1);
   }
   total_ += other.dropped();  // evictions travel too: total stays the sum
+  cursor_ = static_cast<size_t>(total_ % capacity_);
   evicted_until_ = std::max(evicted_until_, other.evicted_until_);
 }
 

@@ -174,6 +174,7 @@ class FlightRecorder {
   size_t capacity_;
   std::vector<FlightEvent> ring_;
   uint64_t total_ = 0;
+  size_t cursor_ = 0;  ///< total_ % capacity_: the next overwritten slot
   SimTime evicted_until_ = 0;  ///< newest event ever overwritten
   std::vector<uint32_t> seq_;  ///< per-site counters, indexed by site id
   std::map<int32_t, std::string> nodes_;

@@ -39,7 +39,9 @@ struct FaultOp {
   NodeId a = kInvalidNode;
   NodeId b = kInvalidNode;
   double value = 0.0;
-  std::vector<std::vector<NodeId>> groups;
+  // `{}` like the fields above, so ops brace-initialised without `groups`
+  // stay clean under -Wmissing-field-initializers.
+  std::vector<std::vector<NodeId>> groups{};
 
   bool operator==(const FaultOp& o) const {
     return at == o.at && kind == o.kind && a == o.a && b == o.b &&

@@ -177,6 +177,26 @@ TEST(FlightRecorderTest, MergePreservesStampsAndSeqMonotonicity) {
   EXPECT_GT(after.back().seq, canon[2].seq);
 }
 
+TEST(FlightRecorderTest, MergedEvictionsShiftTheNextOverwriteSlot) {
+  // Capacity 6 is not a power of two, as in RealHarness's merged recorder.
+  obs::FlightRecorder dst(/*capacity=*/6);
+  obs::FlightRecorder src(/*capacity=*/3);
+  for (SimTime at = 1; at <= 5; ++at) {
+    src.Record(at, /*site=*/1, obs::FlightKind::kPhase, obs::kPhaseEngage);
+  }
+  dst.Merge(src);  // ring [4 5 3]; total 5 counts src's 2 evictions
+  for (SimTime at = 10; at <= 50; at += 10) {
+    dst.Record(at, /*site=*/0, obs::FlightKind::kPhase, obs::kPhaseEngage);
+  }
+  // Slot total % 6 takes each overwrite: 40 replaces 3, then 50 replaces 10.
+  EXPECT_EQ(dst.total(), 10u);
+  EXPECT_EQ(dst.dropped(), 4u);
+  EXPECT_EQ(dst.complete_from(), 11);
+  std::vector<SimTime> kept;
+  for (const obs::FlightEvent& ev : dst.Canonical()) kept.push_back(ev.at);
+  EXPECT_EQ(kept, (std::vector<SimTime>{4, 5, 20, 30, 40, 50}));
+}
+
 TEST(FlightRecorderTest, MessageTypeNames) {
   EXPECT_STREQ(obs::MessageTypeName(10), "token_request");
   EXPECT_STREQ(obs::MessageTypeName(200), "election_get_value");

@@ -17,10 +17,10 @@
 //   samya_bench --system samya-majority --sites 20 --max-tokens 20000 --csv
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
+#include "flag_parse.h"
 #include "harness/experiment.h"
 
 using namespace samya;           // NOLINT — tool code
@@ -64,10 +64,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        Usage();
-        std::exit(2);
-      }
+      if (i + 1 >= argc) tools::UsageExit(Usage);
       return argv[++i];
     };
     if (arg == "--system") {
@@ -85,16 +82,18 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--minutes") {
-      minutes = std::atoi(next());
+      minutes = static_cast<int>(tools::ParseInt(next(), 1, 12 * 60, Usage));
     } else if (arg == "--sites") {
-      opts.num_sites = std::atoi(next());
+      opts.num_sites =
+          static_cast<int>(tools::ParseInt(next(), 1, 1024, Usage));
       opts.scale_load_with_sites = opts.num_sites != 5;
     } else if (arg == "--max-tokens") {
-      opts.max_tokens = std::atoll(next());
+      opts.max_tokens = tools::ParseInt(next(), 1, tools::kInt64Max, Usage);
     } else if (arg == "--read-ratio") {
-      opts.read_ratio = std::atof(next());
+      opts.read_ratio = tools::ParseReal(next(), 0.0, 1.0, Usage);
     } else if (arg == "--seed") {
-      opts.seed = static_cast<uint64_t>(std::atoll(next()));
+      opts.seed = static_cast<uint64_t>(
+          tools::ParseInt(next(), 0, tools::kInt64Max, Usage));
     } else if (arg == "--closed-loop") {
       opts.closed_loop = true;
     } else if (arg == "--csv") {
@@ -107,10 +106,6 @@ int main(int argc, char** argv) {
       Usage();
       return 2;
     }
-  }
-  if (minutes <= 0 || minutes > 12 * 60) {
-    std::fprintf(stderr, "--minutes must be in [1, 720]\n");
-    return 2;
   }
   opts.duration = Minutes(minutes);
 

@@ -6,15 +6,25 @@
 //               [--stats-only]
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
+#include "flag_parse.h"
 #include "workload/azure_generator.h"
 #include "workload/transform.h"
 
 using namespace samya;            // NOLINT — tool code
 using namespace samya::workload;  // NOLINT
+
+namespace {
+
+void Usage() {
+  std::fprintf(stderr,
+               "usage: samya_trace [--days N] [--seed N] [--compress N] "
+               "[--phase-shift-region R] [--stats-only]\n");
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   AzureTraceOptions opts;
@@ -25,23 +35,23 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* {
-      if (i + 1 >= argc) std::exit(2);
+      if (i + 1 >= argc) tools::UsageExit(Usage);
       return argv[++i];
     };
     if (arg == "--days") {
-      opts.days = std::atoi(next());
+      opts.days =
+          static_cast<int>(tools::ParseInt(next(), 1, tools::kIntMax, Usage));
     } else if (arg == "--seed") {
-      opts.seed = static_cast<uint64_t>(std::atoll(next()));
+      opts.seed = static_cast<uint64_t>(
+          tools::ParseInt(next(), 0, tools::kInt64Max, Usage));
     } else if (arg == "--compress") {
-      compress = std::atoll(next());
+      compress = tools::ParseInt(next(), 1, tools::kInt64Max, Usage);
     } else if (arg == "--phase-shift-region") {
-      region = std::atoi(next());
+      region = static_cast<int>(tools::ParseInt(next(), 0, 4, Usage));
     } else if (arg == "--stats-only") {
       stats_only = true;
     } else {
-      std::fprintf(stderr,
-                   "usage: samya_trace [--days N] [--seed N] [--compress N] "
-                   "[--phase-shift-region R] [--stats-only]\n");
+      Usage();
       return arg == "--help" || arg == "-h" ? 0 : 2;
     }
   }
