@@ -73,12 +73,21 @@ class JsonValue {
   const Object& as_object() const { return std::get<Object>(v_); }
   Object& as_object() { return std::get<Object>(v_); }
 
+  // Append and Set build the element in place from any value a JsonValue
+  // converts from. Taking a JsonValue by value instead moves a temporary
+  // variant, which GCC 12 flags as -Wmaybe-uninitialized wherever it
+  // inlines the move.
+
   /// Appends to an array value.
-  void Append(JsonValue v) { as_array().push_back(std::move(v)); }
+  template <typename T>
+  void Append(T&& v) {
+    as_array().emplace_back(std::forward<T>(v));
+  }
 
   /// Sets `key` in an object value (appends; does not dedupe).
-  void Set(std::string key, JsonValue v) {
-    as_object().emplace_back(std::move(key), std::move(v));
+  template <typename T>
+  void Set(std::string key, T&& v) {
+    as_object().emplace_back(std::move(key), std::forward<T>(v));
   }
 
   /// Finds `key` in an object value; nullptr when absent (or not an object).

@@ -38,7 +38,11 @@ struct Ballot {
   }
 
   std::string ToString() const {
-    return "<" + std::to_string(num) + "," + std::to_string(id) + ">";
+    // Appends to the "<" rather than `"<" + std::string`: GCC 12 at -O3
+    // flags that insert-at-front with a false -Wrestrict.
+    std::string s = "<";
+    s += std::to_string(num) + "," + std::to_string(id) + ">";
+    return s;
   }
 };
 

@@ -50,8 +50,9 @@ Result<StateList> StateList::DecodeFrom(BufferReader& r) {
 std::string StateList::ToString() const {
   std::string s = "[";
   for (const auto& e : entries) {
-    s += "(" + std::to_string(e.site) + ":" + std::to_string(e.tokens_left) +
-         "/" + std::to_string(e.tokens_wanted) + ")";
+    s += '(';  // appended alone: see Ballot::ToString on GCC 12 -Wrestrict
+    s += std::to_string(e.site) + ":" + std::to_string(e.tokens_left) + "/" +
+         std::to_string(e.tokens_wanted) + ")";
   }
   s += "]";
   return s;

@@ -1,7 +1,6 @@
 #include "workload/trace.h"
 
 #include <algorithm>
-#include <cstdio>
 
 namespace samya::workload {
 
@@ -34,20 +33,6 @@ int64_t DemandTrace::MaxDemand() const {
   int64_t m = 0;
   for (const auto& d : data_) m = std::max(m, d.creations);
   return m;
-}
-
-std::string DemandTrace::ToCsv(size_t max_rows) const {
-  std::string s = "interval,creations,deletions\n";
-  const size_t n =
-      max_rows == 0 ? data_.size() : std::min(max_rows, data_.size());
-  char line[96];
-  for (size_t i = 0; i < n; ++i) {
-    std::snprintf(line, sizeof(line), "%zu,%lld,%lld\n", i,
-                  static_cast<long long>(data_[i].creations),
-                  static_cast<long long>(data_[i].deletions));
-    s += line;
-  }
-  return s;
 }
 
 }  // namespace samya::workload

@@ -2,7 +2,6 @@
 #define SAMYA_WORKLOAD_TRACE_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/time.h"
@@ -45,9 +44,6 @@ class DemandTrace {
   /// Summary stats of the creation series.
   double MeanDemand() const;
   int64_t MaxDemand() const;
-
-  /// "interval_index,creations,deletions" CSV (Fig 3a's plot data).
-  std::string ToCsv(size_t max_rows = 0) const;
 
  private:
   Duration interval_;

@@ -165,7 +165,9 @@ TEST(EventQueueTest, PopByKeyPreservesHeapOrder) {
   while (!q.empty()) {
     const Event e = q.Pop();
     ASSERT_GE(e.time, prev_time);
-    if (e.time == prev_time) ASSERT_GT(e.seq, prev_seq);
+    if (e.time == prev_time) {
+      ASSERT_GT(e.seq, prev_seq);
+    }
     prev_time = e.time;
     prev_seq = e.seq;
   }

@@ -72,7 +72,7 @@ TEST_F(CrashCycleTest, RandomOpsWithReopensMatchModel) {
   for (int op = 0; op < kOps; ++op) {
     const std::string key = "key" + std::to_string(rng.NextUint64(kKeys));
     if (rng.Bernoulli(0.7)) {
-      const std::string value = "v" + std::to_string(op);
+      const std::string value = std::string("v").append(std::to_string(op));
       ASSERT_TRUE(store->PutString(key, value).ok());
       model[key] = value;
     } else {

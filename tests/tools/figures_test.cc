@@ -2,6 +2,7 @@
 
 #include <set>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -18,7 +19,7 @@ TEST(FiguresTest, IdsAreUniqueAndFindable) {
     EXPECT_TRUE(ids.insert(figure.id).second) << figure.id;
     EXPECT_EQ(FindFigure(figure.id), &figure);
   }
-  EXPECT_EQ(ids.size(), 15u);
+  EXPECT_EQ(ids.size(), 18u);
   EXPECT_EQ(FindFigure("fig3z"), nullptr);
 }
 
@@ -96,6 +97,80 @@ TEST(FiguresTest, ExtArrivalRateSeparatesPaperClaimOurClaimAndNeither) {
             kNotReproduced);
   EXPECT_EQ(ExtArrivalRateVerdict({16.1, 7.7, 9.0, 1.43, 1.0}).outcome, kFail);
   EXPECT_EQ(ExtArrivalRateVerdict({16.1, 7.7, 3.0, 1.43, 0.6}).outcome, kFail);
+}
+
+TEST(FiguresTest, ExtBoundedCounterNeedsItBetweenSamyaAndDemRejectingMore) {
+  EXPECT_EQ(ExtBoundedCounterVerdict(260.5, 253.0, 249.6, 2704, 9753).outcome,
+            kPass);
+  EXPECT_EQ(ExtBoundedCounterVerdict(250.0, 253.0, 249.6, 2704, 9753).outcome,
+            kFail);
+  EXPECT_EQ(ExtBoundedCounterVerdict(260.5, 253.0, 255.0, 2704, 9753).outcome,
+            kFail);
+  EXPECT_EQ(ExtBoundedCounterVerdict(260.5, 253.0, 249.6, 2704, 2704).outcome,
+            kFail);
+}
+
+// The measured disconnection rows: site 0's counters, Eq. 1, violations.
+const DisconnectionCheck kSeed{{0, 0, 0, 0, 0}, true, 0};
+const DisconnectionCheck kArmed{{1, 952, 1066, 0, 1}, true, 0};
+const DisconnectionCheck kBounded{{1, 1351, 0, 0, 1}, true, 0};
+const DisconnectionCheck kCrashed{{1, 939, 1053, 590, 1}, true, 0};
+
+TEST(FiguresTest, ExtDisconnectionNeedsEveryClaimAndACleanLedger) {
+  EXPECT_EQ(ExtDisconnectionVerdict(kSeed, kArmed, kBounded).outcome, kPass);
+  // One FAIL per conjunct: run `run`'s counter `field` set to `value`.
+  const auto fails = [](int run, uint64_t SiteZeroStats::*field,
+                        uint64_t value) {
+    DisconnectionCheck c[] = {kSeed, kArmed, kBounded};
+    c[run].site0.*field = value;
+    return ExtDisconnectionVerdict(c[0], c[1], c[2]).outcome == kFail;
+  };
+  EXPECT_TRUE(fails(0, &SiteZeroStats::disconnected_served, 3));
+  EXPECT_TRUE(fails(1, &SiteZeroStats::disconnected_served, 0));
+  EXPECT_TRUE(fails(1, &SiteZeroStats::oplog_appends, 0));
+  EXPECT_TRUE(fails(1, &SiteZeroStats::reconciles, 0));
+  EXPECT_TRUE(fails(2, &SiteZeroStats::disconnected_epochs, 0));
+  EXPECT_TRUE(fails(2, &SiteZeroStats::reconciles, 0));
+  for (int run = 0; run < 3; ++run) {
+    DisconnectionCheck c[] = {kSeed, kArmed, kBounded};
+    c[run].conserved = false;
+    EXPECT_EQ(ExtDisconnectionVerdict(c[0], c[1], c[2]).outcome, kFail) << run;
+    c[run].conserved = true;
+    c[run].violations = 1;
+    EXPECT_EQ(ExtDisconnectionVerdict(c[0], c[1], c[2]).outcome, kFail) << run;
+  }
+}
+
+TEST(FiguresTest, ExtDisconnectionCrashNeedsReplayReconcileAndCleanLedger) {
+  EXPECT_EQ(ExtDisconnectionCrashVerdict(kCrashed).outcome, kPass);
+  DisconnectionCheck broken[] = {kCrashed, kCrashed, kCrashed, kCrashed};
+  broken[0].site0.oplog_replayed = 0;
+  broken[1].site0.reconciles = 0;
+  broken[2].conserved = false;
+  broken[3].violations = 2;
+  for (const DisconnectionCheck& c : broken) {
+    EXPECT_EQ(ExtDisconnectionCrashVerdict(c).outcome, kFail);
+  }
+}
+
+// The disconnection runs differ only in the audit flag, the schedule and
+// disconnected mode; each must stay its own experiment.
+TEST(FiguresTest, NewIdsRunDistinctExperiments) {
+  // `figures::` because a gtest body's own `Run` hides the type.
+  std::vector<figures::Run> runs;
+  for (const char* id :
+       {"ext_bounded_counter", "ext_disconnection", "ext_disconnection_crash"}) {
+    const Figure* figure = FindFigure(id);
+    ASSERT_NE(figure, nullptr) << id;
+    for (figures::Run& run : figure->runs()) runs.push_back(std::move(run));
+  }
+  ASSERT_EQ(runs.size(), 8u);
+  for (size_t i = 0; i < runs.size(); ++i) {
+    EXPECT_TRUE(SameRun(runs[i], runs[i]));
+    for (size_t j = i + 1; j < runs.size(); ++j) {
+      EXPECT_FALSE(SameRun(runs[i], runs[j])) << i << " vs " << j;
+    }
+  }
 }
 
 TEST(FiguresTest, RobustnessNeedsTenfoldOnEverySeed) {

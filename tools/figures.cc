@@ -10,6 +10,7 @@
 #include "common/logging.h"
 #include "core/messages.h"
 #include "core/reallocator.h"
+#include "harness/chaos.h"
 #include "harness/parallel_runner.h"
 #include "predict/arima.h"
 #include "predict/lstm.h"
@@ -178,6 +179,52 @@ Verdict ExtArrivalRateVerdict(const std::vector<double>& ratios) {
   if (shrinks && last >= 1.3) return {Outcome::kPass, measured};
   const bool ours = shrinks && last >= 0.95;
   return {ours ? Outcome::kNotReproduced : Outcome::kFail, measured};
+}
+
+Verdict ExtBoundedCounterVerdict(double samya_majority, double bounded_counter,
+                                 double demarcation,
+                                 uint64_t samya_majority_rejected,
+                                 uint64_t bounded_counter_rejected) {
+  return PassIf(samya_majority >= bounded_counter &&
+                    bounded_counter >= demarcation &&
+                    bounded_counter_rejected > samya_majority_rejected,
+                Format("Av[(n+1)/2]=%.1f BoundedCounter=%.1f Dem=%.1f tps; "
+                       "rejected BoundedCounter=%llu Av[(n+1)/2]=%llu",
+                       samya_majority, bounded_counter, demarcation,
+                       static_cast<unsigned long long>(bounded_counter_rejected),
+                       static_cast<unsigned long long>(samya_majority_rejected)));
+}
+
+Verdict ExtDisconnectionVerdict(const DisconnectionCheck& seed,
+                                const DisconnectionCheck& armed,
+                                const DisconnectionCheck& bounded_counter) {
+  const SiteZeroStats& dm = armed.site0;
+  const SiteZeroStats& bc = bounded_counter.site0;
+  return PassIf(
+      seed.site0.disconnected_served == 0 && dm.disconnected_served > 0 &&
+          dm.oplog_appends > 0 && dm.reconciles >= 1 &&
+          bc.disconnected_epochs >= 1 && bc.reconciles >= 1 && seed.clean() &&
+          armed.clean() && bounded_counter.clean(),
+      Format("served disconnected seed=%llu armed=%llu (oplog=%llu "
+             "reconciles=%llu); BoundedCounter epochs=%llu reconciles=%llu; "
+             "Eq. 1 exact and audit clean in %d of 3 runs",
+             static_cast<unsigned long long>(seed.site0.disconnected_served),
+             static_cast<unsigned long long>(dm.disconnected_served),
+             static_cast<unsigned long long>(dm.oplog_appends),
+             static_cast<unsigned long long>(dm.reconciles),
+             static_cast<unsigned long long>(bc.disconnected_epochs),
+             static_cast<unsigned long long>(bc.reconciles),
+             seed.clean() + armed.clean() + bounded_counter.clean()));
+}
+
+Verdict ExtDisconnectionCrashVerdict(const DisconnectionCheck& crashed) {
+  const SiteZeroStats& s = crashed.site0;
+  return PassIf(s.oplog_replayed > 0 && s.reconciles >= 1 && crashed.clean(),
+                Format("crashed site replayed=%llu reconciles=%llu; Eq. 1 "
+                       "exact and audit clean: %s",
+                       static_cast<unsigned long long>(s.oplog_replayed),
+                       static_cast<unsigned long long>(s.reconciles),
+                       crashed.clean() ? "yes" : "NO"));
 }
 
 Verdict RobustnessVerdict(double min_ratio, double max_ratio) {
@@ -826,6 +873,121 @@ std::optional<Verdict> PrintExtArrivalRate(const Outputs& runs) {
   return ExtArrivalRateVerdict(ratios);
 }
 
+// BoundedCounter baseline (DESIGN.md §12; Balegas et al., PAPERS.md): the
+// Fig 3b family plus the CRDT, 30 minutes at M_e = 5000, where the pool is
+// scarce enough that coordination matters. Ours, not the paper's: the CRDT
+// trades rights pairwise with no consensus round, so it lands between
+// Avantan[(n+1)/2] and Demarcation and rejects more than Samya.
+
+constexpr Duration kBoundedCounterRun = Minutes(30);
+constexpr SystemKind kBoundedCounterSystems[] = {
+    SystemKind::kBoundedCounter, SystemKind::kSamyaMajority,
+    SystemKind::kSamyaAny, SystemKind::kDemarcation};
+
+std::vector<Run> ExtBoundedCounterRuns() {
+  std::vector<Run> runs;
+  for (SystemKind system : kBoundedCounterSystems) {
+    runs.push_back(SystemRun(system, kBoundedCounterRun));
+  }
+  return runs;
+}
+
+std::optional<Verdict> PrintExtBoundedCounter(const Outputs& runs) {
+  for (size_t i = 0; i < runs.size(); ++i) {
+    PrintSummaryRow(SystemName(kBoundedCounterSystems[i]), runs[i]->result,
+                    kBoundedCounterRun);
+  }
+  const auto& bc = runs[0]->result;
+  const auto& maj = runs[1]->result;
+  return ExtBoundedCounterVerdict(
+      maj.MeanTps(kBoundedCounterRun), bc.MeanTps(kBoundedCounterRun),
+      runs[3]->result.MeanTps(kBoundedCounterRun), maj.aggregate.rejected,
+      bc.aggregate.rejected);
+}
+
+// Disconnection (DESIGN.md §12): site 0's island {site 0, app manager 5,
+// client 10} is cut off from 20 s to 90 s of a 120 s run, audited
+// continuously. M_e = 700 is small enough that the cut site's pool runs dry
+// inside the window. Seed Samya never enters disconnected mode: the cut
+// site serves what its pool covers and freezes once it runs dry. Armed, it
+// serves from its pool behind the durable op log and reconciles on heal;
+// the BoundedCounter CRDT serves from local rights and merges. The crash
+// variant crashes and recovers the armed site inside the window, so
+// reconciliation must first replay the op log from stable storage.
+
+constexpr Duration kDiscoRun = Seconds(120);
+constexpr int64_t kDiscoTokens = 700;
+constexpr Duration kIsolateAt = Seconds(20);
+constexpr Duration kHealAt = Seconds(90);
+
+Run DisconnectionRun(SystemKind system, bool armed, bool crash) {
+  harness::ChaosCase c;
+  c.system = system;
+  c.seed = 11;
+  c.max_tokens = kDiscoTokens;
+  c.duration = kDiscoRun;
+  c.disconnected_mode = armed;
+  sim::FaultOp isolate;
+  isolate.at = kIsolateAt;
+  isolate.kind = sim::FaultOp::Kind::kIsolateSite;
+  isolate.a = 0;
+  isolate.groups = {{0, 5, 10}};
+  c.schedule.ops.push_back(isolate);
+  if (crash) {
+    c.schedule.ops.push_back({Seconds(50), sim::FaultOp::Kind::kCrash, 0});
+    c.schedule.ops.push_back({Seconds(54), sim::FaultOp::Kind::kRecover, 0});
+  }
+  c.schedule.ops.push_back({kHealAt, sim::FaultOp::Kind::kHeal});
+  Run run;
+  run.options = harness::MakeChaosOptions(c, harness::AuditOptions{});
+  return run;
+}
+
+/// Prints one disconnection row and returns what its verdict checks.
+DisconnectionCheck PrintDisconnectionRow(const char* label,
+                                         const RunOutput& run) {
+  const ExperimentResult& r = run.result;
+  const SiteZeroStats& s = run.site0;
+  const DisconnectionCheck check{s, run.tokens_accounted == kDiscoTokens,
+                                 r.violations.size()};
+  std::printf(
+      "%-26s window=%6.1f tps  committed=%-6llu epochs=%llu served=%llu "
+      "oplog=%llu/%llu reconciles=%llu conserved=%s violations=%zu\n",
+      label, r.throughput.MeanRate(kIsolateAt, kHealAt),
+      static_cast<unsigned long long>(r.aggregate.TotalCommitted()),
+      static_cast<unsigned long long>(s.disconnected_epochs),
+      static_cast<unsigned long long>(s.disconnected_served),
+      static_cast<unsigned long long>(s.oplog_appends),
+      static_cast<unsigned long long>(s.oplog_replayed),
+      static_cast<unsigned long long>(s.reconciles),
+      check.conserved ? "yes" : "NO", check.violations);
+  return check;
+}
+
+std::vector<Run> ExtDisconnectionRuns() {
+  return {DisconnectionRun(SystemKind::kSamyaMajority, false, false),
+          DisconnectionRun(SystemKind::kSamyaMajority, true, false),
+          DisconnectionRun(SystemKind::kBoundedCounter, false, false)};
+}
+
+std::optional<Verdict> PrintExtDisconnection(const Outputs& runs) {
+  const DisconnectionCheck seed = PrintDisconnectionRow("samya (seed)", *runs[0]);
+  const DisconnectionCheck armed =
+      PrintDisconnectionRow("samya (disconnected)", *runs[1]);
+  const DisconnectionCheck bc =
+      PrintDisconnectionRow("bounded_counter", *runs[2]);
+  return ExtDisconnectionVerdict(seed, armed, bc);
+}
+
+std::vector<Run> ExtDisconnectionCrashRuns() {
+  return {DisconnectionRun(SystemKind::kSamyaMajority, true, true)};
+}
+
+std::optional<Verdict> PrintExtDisconnectionCrash(const Outputs& runs) {
+  return ExtDisconnectionCrashVerdict(
+      PrintDisconnectionRow("samya (crash mid-window)", *runs[0]));
+}
+
 // Design-choice ablations beyond the paper's Figs 3e/3f, each on the
 // standard 5-region workload for 15 minutes: the pluggable Redistribution
 // Module (§4.4), the epoch (prediction look-ahead, §4.2), and the Avantan
@@ -1029,18 +1191,43 @@ std::optional<Verdict> PrintRobustness(const Outputs& runs) {
 
 /// The options any figure sets. Runs that agree on all of them (and on the
 /// hook) are the same experiment, since every other option keeps its
-/// default; a figure that sets another option must add it here.
+/// default or, for MakeChaosOptions' audit and flight-recorder settings,
+/// follows from the audit flag, the schedule and the duration; a figure
+/// that sets another option must add it here.
 auto RunKey(const Run& run) {
   const harness::ExperimentOptions& o = run.options;
   const core::SiteOptions& s = o.site_template;
-  return std::tuple(run.hook, o.system, o.num_sites, o.max_tokens, o.duration,
-                    o.read_ratio, o.seed, o.trace.seed, o.compress_factor,
-                    o.scale_load_with_sites, o.closed_loop, o.client_window,
-                    s.reallocator, s.epoch, s.election_timeout,
-                    s.accept_timeout);
+  return std::tie(run.hook, o.system, o.num_sites, o.max_tokens, o.duration,
+                  o.read_ratio, o.seed, o.trace.seed, o.compress_factor,
+                  o.scale_load_with_sites, o.closed_loop, o.client_window,
+                  o.audit.enabled, o.fault_schedule.ops, s.reallocator, s.epoch,
+                  s.election_timeout, s.accept_timeout,
+                  s.enable_disconnected_mode);
+}
+
+/// Fills the numbers a verdict needs that only the finished Experiment
+/// holds: site 0's disconnected-mode counters and the Eq. 1 sum.
+void RecordEndState(const Experiment& e, RunOutput* out) {
+  SiteZeroStats& z = out->site0;
+  if (!e.samya_sites().empty()) {
+    const auto& s = e.samya_sites()[0]->stats();
+    z.disconnected_epochs = s.disconnected_epochs;
+    z.disconnected_served = s.disconnected_served;
+    z.oplog_appends = s.oplog_appends;
+    z.oplog_replayed = s.oplog_replayed;
+    z.reconciles = s.reconciles;
+  } else if (!e.bounded_sites().empty()) {
+    const auto& s = e.bounded_sites()[0]->stats();
+    z.disconnected_epochs = s.disconnected_windows;
+    z.disconnected_served = s.committed_acquires + s.committed_releases;
+    z.reconciles = s.reconciles;
+  }
+  out->tokens_accounted = e.TotalSiteTokens() + e.ServerNetAcquires();
 }
 
 }  // namespace
+
+bool SameRun(const Run& a, const Run& b) { return RunKey(a) == RunKey(b); }
 
 const std::vector<Figure>& AllFigures() {
   static const std::vector<Figure> figures = {
@@ -1073,6 +1260,15 @@ const std::vector<Figure>& AllFigures() {
       {"ext_arrival_rate", "ext §5.9(ii)",
        "throughput vs request arrival interval", ExtArrivalRateRuns,
        PrintExtArrivalRate},
+      {"ext_bounded_counter", "ext §12",
+       "BoundedCounter CRDT vs Samya and Demarcation, M_e 5000 (30 min)",
+       ExtBoundedCounterRuns, PrintExtBoundedCounter},
+      {"ext_disconnection", "ext §12",
+       "island {0,5,10} cut 20s-90s of 120s, M_e 700: seed / armed Samya, "
+       "BoundedCounter", ExtDisconnectionRuns, PrintExtDisconnection},
+      {"ext_disconnection_crash", "ext §12",
+       "armed Samya, crash 50s and recover 54s inside the same cut",
+       ExtDisconnectionCrashRuns, PrintExtDisconnectionCrash},
       {"ablation_design", "ablations",
        "design-choice sweeps (reallocator / epoch / timers)", AblationRuns,
        PrintAblation},
@@ -1100,7 +1296,7 @@ bool RunFigures(const std::vector<const Figure*>& figures) {
   for (size_t f = 0; f < figures.size(); ++f) {
     for (Run& run : figures[f]->runs()) {
       size_t i = 0;
-      while (i < distinct.size() && RunKey(distinct[i]) != RunKey(run)) ++i;
+      while (i < distinct.size() && !SameRun(distinct[i], run)) ++i;
       if (i == distinct.size()) distinct.push_back(std::move(run));
       slots[f].push_back(i);
     }
@@ -1120,6 +1316,7 @@ bool RunFigures(const std::vector<const Figure*>& figures) {
     experiment.Setup();
     if (distinct[i].hook != nullptr) distinct[i].hook(experiment, &outputs[i]);
     outputs[i].result = experiment.Run();
+    RecordEndState(experiment, &outputs[i]);
     Logger::SetThreadPrefix("");
   });
 

@@ -1,9 +1,10 @@
 #ifndef SAMYA_TOOLS_FIGURES_H_
 #define SAMYA_TOOLS_FIGURES_H_
 
-// The paper's tables and figures (§5) as one table of entries: each names
-// the experiments it needs, prints the rows of its artifact from their
-// results, and checks the paper's claim with a verdict predicate.
+// The paper's tables and figures (§5), and the comparisons beyond them
+// (DESIGN.md §12), as one table of entries: each names the experiments it
+// needs, prints the rows of its artifact from their results, and checks
+// its claim with a verdict predicate.
 // tools/samya_figures is the command-line driver over this table.
 
 #include <cstdint>
@@ -37,10 +38,26 @@ struct MessageTally {
   uint64_t bytes = 0;
 };
 
+/// Site 0's disconnected-mode counters at the end of a run: a Samya
+/// site's epochs, writes served while cut off, op-log traffic and
+/// reconciles, or a BoundedCounter site's disconnected windows, committed
+/// writes and reconciles (zero for the other systems).
+struct SiteZeroStats {
+  uint64_t disconnected_epochs = 0;
+  uint64_t disconnected_served = 0;
+  uint64_t oplog_appends = 0;
+  uint64_t oplog_replayed = 0;
+  uint64_t reconciles = 0;
+};
+
 /// What one experiment produced.
 struct RunOutput {
   harness::ExperimentResult result;
   std::map<uint32_t, MessageTally> messages;
+  SiteZeroStats site0;
+  /// Site pools plus net committed acquires at the end of the run: Eq. 1
+  /// holds exactly when this equals M_e.
+  int64_t tokens_accounted = 0;
 };
 
 /// Called between `Experiment::Setup` and `Run`: schedules faults or
@@ -53,6 +70,10 @@ struct Run {
   harness::ExperimentOptions options;
   Hook hook = nullptr;
 };
+
+/// Whether `a` and `b` are the same deterministic experiment, which
+/// RunFigures then runs once for both.
+bool SameRun(const Run& a, const Run& b);
 
 /// One paper artifact. `print` gets the outputs of `runs()` in order,
 /// prints the artifact's rows, and returns its verdict (none for the
@@ -125,6 +146,30 @@ Verdict ExtMaxLimitVerdict(double max_over_mean);
 /// 1.3x), else our claim that the advantage shrinks monotonically to ~1x
 /// and never inverts (NOT-REPRODUCED), else FAIL.
 Verdict ExtArrivalRateVerdict(const std::vector<double>& ratios);
+/// BoundedCounter baseline (DESIGN.md §12): Av[(n+1)/2] >= BoundedCounter
+/// >= Demarcation, and BoundedCounter rejects more than Av[(n+1)/2].
+Verdict ExtBoundedCounterVerdict(double samya_majority, double bounded_counter,
+                                 double demarcation,
+                                 uint64_t samya_majority_rejected,
+                                 uint64_t bounded_counter_rejected);
+/// What a disconnection run's verdict checks.
+struct DisconnectionCheck {
+  SiteZeroStats site0;
+  bool conserved = false;  ///< Eq. 1 exact at the end of the run
+  size_t violations = 0;   ///< auditor violations over the run
+  /// Eq. 1 exact and a clean audit: every disconnection run must be.
+  bool clean() const { return conserved && violations == 0; }
+};
+/// Disconnection (DESIGN.md §12): with site 0's island cut off, seed Samya
+/// serves nothing in disconnected mode; armed Samya does, appends to its op
+/// log and reconciles; BoundedCounter enters a disconnected window and
+/// reconciles. Every run conserves Eq. 1 exactly with a clean audit.
+Verdict ExtDisconnectionVerdict(const DisconnectionCheck& seed,
+                                const DisconnectionCheck& armed,
+                                const DisconnectionCheck& bounded_counter);
+/// A crash and recover inside the cut window: the armed site replays its
+/// op log and reconciles, and Eq. 1 holds exactly with a clean audit.
+Verdict ExtDisconnectionCrashVerdict(const DisconnectionCheck& crashed);
 /// Robustness: the Fig 3b Samya/MultiPaxSys ratio is >= 10x on every seed.
 Verdict RobustnessVerdict(double min_ratio, double max_ratio);
 

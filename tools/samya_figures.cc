@@ -1,5 +1,6 @@
-// samya_figures — regenerates the paper's tables and figures (§5) and
-// checks each against the paper's claim.
+// samya_figures — regenerates the paper's tables and figures (§5) and the
+// BoundedCounter / disconnected-mode comparisons (DESIGN.md §12), and
+// checks each against its claim.
 //
 // Usage:
 //   samya_figures <id>...   print the named figures
