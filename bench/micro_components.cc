@@ -1,12 +1,20 @@
 // Component micro-benchmarks (google-benchmark): the hot paths under every
 // experiment — codec, CRC, RNG, histogram, event loop, flight recorder,
-// Algorithm 2, message round trips, predictor inference, and trace
-// generation.
+// the at-most-once window, Algorithm 2, message round trips, WAL appends,
+// predictor inference, and trace and script generation.
 
 #include <benchmark/benchmark.h>
+#include <fcntl.h>
+#include <malloc.h>
+#include <unistd.h>
+
+#include <cstdio>
+#include <memory>
+#include <string>
 
 #include "common/codec.h"
 #include "common/crc32.h"
+#include "common/dedup_window.h"
 #include "common/histogram.h"
 #include "common/random.h"
 #include "core/messages.h"
@@ -14,7 +22,10 @@
 #include "obs/flight_recorder.h"
 #include "predict/lstm.h"
 #include "sim/environment.h"
+#include "storage/wal.h"
 #include "workload/azure_generator.h"
+#include "workload/request_stream.h"
+#include "workload/transform.h"
 
 namespace samya {
 namespace {
@@ -105,6 +116,39 @@ BENCHMARK_CAPTURE(BM_FlightRecorderRecord, unbounded,
                   obs::FlightRecorder::kUnbounded)
     ->Iterations(1 << 20);
 
+size_t HeapInUse() {
+  const struct mallinfo2 m = mallinfo2();
+  return m.uordblks + m.hblkhd;  // brk heap + mmapped chunks
+}
+
+/// One site write as the request handler makes it: a lookup of the request
+/// id (the retry check) and a remember of its value. Ids rise with holes, as
+/// a site sees its clients' writes among their reads and rejections, and the
+/// run spans several generation rolls. `bytes_per_entry` is the heap one
+/// full generation holds, per id.
+void BM_DedupWindow(benchmark::State& state) {
+  const size_t heap_before = HeapInUse();
+  auto window = std::make_unique<DedupWindow>();
+  for (uint64_t id = 1; id <= DedupWindow::kGenerationSize; ++id) {
+    window->Remember(id, 0);
+  }
+  const size_t heap_full = HeapInUse();
+  Rng rng(17);
+  uint64_t id = DedupWindow::kGenerationSize;
+  int64_t hits = 0;
+  for (auto _ : state) {
+    id += 1 + rng.NextUint64(4);
+    hits += window->Lookup(id) != nullptr;
+    window->Remember(id, static_cast<int64_t>(id));
+  }
+  benchmark::DoNotOptimize(hits);
+  state.SetItemsProcessed(state.iterations());
+  state.counters["bytes_per_entry"] =
+      static_cast<double>(heap_full - heap_before) /
+      DedupWindow::kGenerationSize;
+}
+BENCHMARK(BM_DedupWindow);
+
 void BM_Algorithm2Reallocate(benchmark::State& state) {
   core::GreedyReallocator realloc;
   core::StateList list;
@@ -164,6 +208,55 @@ void BM_AzureTraceGeneration(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AzureTraceGeneration);
+
+/// One region's client script for a 30-min fig3b run (§5.1.2: the Azure
+/// trace compressed 60x, one request per creation or deletion).
+void BM_GenerateRequests(benchmark::State& state) {
+  const auto trace =
+      workload::CompressTime(workload::GenerateAzureTrace({}), 60);
+  workload::RequestStreamOptions opts;
+  opts.horizon = 30 * kMinute;
+  opts.seed = 49;
+  size_t requests = 0;
+  for (auto _ : state) {
+    auto script = workload::GenerateRequests(trace, opts);
+    requests = script.size();
+    benchmark::DoNotOptimize(script.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(requests));
+}
+BENCHMARK(BM_GenerateRequests)->Unit(benchmark::kMillisecond);
+
+/// One storage write as `FileStableStorage` makes it, a 48-byte record
+/// appended and flushed to the OS, and optionally also made durable with
+/// `fdatasync`. The log is a temp file in the build directory.
+void BM_WalAppend(benchmark::State& state, bool datasync) {
+  const std::string path =
+      std::string(SAMYA_BENCH_SCRATCH_DIR) + "/micro_components_wal.log";
+  std::remove(path.c_str());
+  auto wal = storage::WriteAheadLog::Open(path);
+  const int fd = ::open(path.c_str(), O_WRONLY);
+  if (!wal.ok() || fd < 0) {
+    state.SkipWithError("cannot open the WAL temp file");
+    if (fd >= 0) ::close(fd);
+    return;
+  }
+  const std::vector<uint8_t> record(48, 0xab);
+  for (auto _ : state) {
+    if (!(*wal)->Append(record).ok() || !(*wal)->Sync().ok() ||
+        (datasync && ::fdatasync(fd) != 0)) {
+      state.SkipWithError("WAL append failed");
+      break;
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+  ::close(fd);
+  wal->reset();
+  std::remove(path.c_str());
+}
+BENCHMARK_CAPTURE(BM_WalAppend, flush, false)->UseRealTime();
+BENCHMARK_CAPTURE(BM_WalAppend, fdatasync, true)->UseRealTime();
 
 }  // namespace
 }  // namespace samya

@@ -75,8 +75,7 @@ void BoundedCounterSite::HandleCrash() {
   transfer_timer_ = 0;
   disconnected_ = false;
   last_heard_ = 0;
-  committed_writes_.clear();
-  committed_writes_prev_.clear();
+  dedup_.Clear();
 }
 
 void BoundedCounterSite::HandleRecover() { Start(); }
@@ -209,7 +208,7 @@ void BoundedCounterSite::HandleMessage(rt::NodeId from, uint32_t type,
         return;
       }
       if (req->op != TokenOp::kRead) {
-        if (const int64_t* cached = LookupWrite(req->request_id)) {
+        if (const int64_t* cached = dedup_.Lookup(req->request_id)) {
           Respond(from, req->request_id, TokenStatus::kCommitted, *cached);
           return;
         }
@@ -261,7 +260,7 @@ bool BoundedCounterSite::ServeLocally(rt::NodeId client,
         ++mine.ver;
         PersistRows();
         ++stats_.committed_acquires;
-        RememberWrite(req.request_id, local_rights());
+        dedup_.Remember(req.request_id, local_rights());
         Respond(client, req.request_id, TokenStatus::kCommitted,
                 local_rights());
         return true;
@@ -272,7 +271,7 @@ bool BoundedCounterSite::ServeLocally(rt::NodeId client,
       ++mine.ver;
       PersistRows();
       ++stats_.committed_releases;
-      RememberWrite(req.request_id, local_rights());
+      dedup_.Remember(req.request_id, local_rights());
       Respond(client, req.request_id, TokenStatus::kCommitted, local_rights());
       return true;
     case TokenOp::kRead: {
@@ -408,25 +407,6 @@ void BoundedCounterSite::Respond(rt::NodeId client, uint64_t request_id,
   BufferWriter w;
   resp.EncodeTo(w);
   Send(client, kMsgTokenResponse, w);
-}
-
-void BoundedCounterSite::RememberWrite(uint64_t request_id, int64_t value) {
-  if (committed_writes_.size() >= kDedupGenerationSize) {
-    committed_writes_prev_ = std::move(committed_writes_);
-    committed_writes_ = {};
-  }
-  if (committed_writes_.bucket_count() < kDedupGenerationSize) {
-    committed_writes_.reserve(kDedupGenerationSize);
-  }
-  committed_writes_[request_id] = value;
-}
-
-const int64_t* BoundedCounterSite::LookupWrite(uint64_t request_id) const {
-  auto it = committed_writes_.find(request_id);
-  if (it != committed_writes_.end()) return &it->second;
-  it = committed_writes_prev_.find(request_id);
-  if (it != committed_writes_prev_.end()) return &it->second;
-  return nullptr;
 }
 
 }  // namespace samya::baselines

@@ -3,9 +3,9 @@
 
 #include <deque>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
+#include "common/dedup_window.h"
 #include "common/token_api.h"
 #include "obs/flight_recorder.h"
 #include "rt/node.h"
@@ -172,12 +172,8 @@ class BoundedCounterSite : public rt::Node {
 
   BoundedCounterStats stats_;
 
-  // At-most-once guard (see core::Site), bounded by rotation.
-  static constexpr size_t kDedupGenerationSize = 1 << 17;
-  std::unordered_map<uint64_t, int64_t> committed_writes_;
-  std::unordered_map<uint64_t, int64_t> committed_writes_prev_;
-  void RememberWrite(uint64_t request_id, int64_t value);
-  const int64_t* LookupWrite(uint64_t request_id) const;
+  // At-most-once guard against client retries.
+  DedupWindow dedup_;
 };
 
 }  // namespace samya::baselines

@@ -30,7 +30,7 @@ void DemarcationSite::HandleMessage(rt::NodeId from, uint32_t type,
         return;
       }
       if (req->op != TokenOp::kRead) {
-        if (const int64_t* cached = LookupWrite(req->request_id)) {
+        if (const int64_t* cached = dedup_.Lookup(req->request_id)) {
           Respond(from, req->request_id, TokenStatus::kCommitted, *cached);
           return;
         }
@@ -71,14 +71,14 @@ bool DemarcationSite::ServeLocally(rt::NodeId client,
     case TokenOp::kAcquire:
       if (tokens_left_ >= req.amount) {
         tokens_left_ -= req.amount;
-        RememberWrite(req.request_id, tokens_left_);
+        dedup_.Remember(req.request_id, tokens_left_);
         Respond(client, req.request_id, TokenStatus::kCommitted, tokens_left_);
         return true;
       }
       return false;
     case TokenOp::kRelease:
       tokens_left_ += req.amount;
-      RememberWrite(req.request_id, tokens_left_);
+      dedup_.Remember(req.request_id, tokens_left_);
       Respond(client, req.request_id, TokenStatus::kCommitted, tokens_left_);
       return true;
     case TokenOp::kRead:
@@ -88,26 +88,6 @@ bool DemarcationSite::ServeLocally(rt::NodeId client,
       return true;
   }
   return false;
-}
-
-void DemarcationSite::RememberWrite(uint64_t request_id, int64_t value) {
-  if (committed_writes_.size() >= kDedupGenerationSize) {
-    committed_writes_prev_ = std::move(committed_writes_);
-    committed_writes_ = {};
-  }
-  if (committed_writes_.bucket_count() < kDedupGenerationSize) {
-    // Pre-size once per generation; see core::Site::RememberWrite.
-    committed_writes_.reserve(kDedupGenerationSize);
-  }
-  committed_writes_[request_id] = value;
-}
-
-const int64_t* DemarcationSite::LookupWrite(uint64_t request_id) const {
-  auto it = committed_writes_.find(request_id);
-  if (it != committed_writes_.end()) return &it->second;
-  it = committed_writes_prev_.find(request_id);
-  if (it != committed_writes_prev_.end()) return &it->second;
-  return nullptr;
 }
 
 void DemarcationSite::Respond(rt::NodeId client, uint64_t request_id,

@@ -3,8 +3,8 @@
 
 #include <deque>
 #include <map>
-#include <unordered_map>
 
+#include "common/dedup_window.h"
 #include "common/token_api.h"
 #include "rt/node.h"
 
@@ -52,8 +52,6 @@ class DemarcationSite : public rt::Node {
   };
 
   void ServeOrBorrow(rt::NodeId client, const TokenRequest& req);
-  void RememberWrite(uint64_t request_id, int64_t value);
-  const int64_t* LookupWrite(uint64_t request_id) const;
   bool ServeLocally(rt::NodeId client, const TokenRequest& req);
   void Respond(rt::NodeId client, uint64_t request_id, TokenStatus status,
                int64_t value);
@@ -75,11 +73,8 @@ class DemarcationSite : public rt::Node {
   uint64_t outstanding_borrow_ = 0;
   std::deque<QueuedRequest> queue_;
   uint64_t borrows_attempted_ = 0;
-  /// At-most-once guard against client retries (see core::Site); bounded
-  /// via two-generation rotation.
-  static constexpr size_t kDedupGenerationSize = 1 << 17;
-  std::unordered_map<uint64_t, int64_t> committed_writes_;
-  std::unordered_map<uint64_t, int64_t> committed_writes_prev_;
+  /// At-most-once guard against client retries.
+  DedupWindow dedup_;
 };
 
 }  // namespace samya::baselines

@@ -28,12 +28,17 @@ const char* StatusCodeName(StatusCode code) {
   return "UNKNOWN";
 }
 
+const std::string& Status::message() const {
+  static const std::string* const kEmpty = new std::string();
+  return rep_ == nullptr ? *kEmpty : rep_->msg;
+}
+
 std::string Status::ToString() const {
   if (ok()) return "OK";
-  std::string s = StatusCodeName(code_);
-  if (!msg_.empty()) {
+  std::string s = StatusCodeName(rep_->code);
+  if (!rep_->msg.empty()) {
     s += ": ";
-    s += msg_;
+    s += rep_->msg;
   }
   return s;
 }

@@ -1,6 +1,7 @@
 #ifndef SAMYA_COMMON_STATUS_H_
 #define SAMYA_COMMON_STATUS_H_
 
+#include <memory>
 #include <string>
 #include <utility>
 #include <variant>
@@ -26,13 +27,25 @@ enum class StatusCode {
 
 /// \brief Exception-free error type returned by all fallible operations.
 ///
-/// Follows the RocksDB/Abseil idiom: cheap to copy when OK, carries a code and
-/// message otherwise. Use `Result<T>` when a value is produced on success.
+/// Follows the RocksDB/Abseil idiom: an OK status is one null pointer, so it
+/// costs nothing to build, copy or return; an error points to its code and
+/// message. Use `Result<T>` when a value is produced on success.
 class Status {
  public:
-  Status() : code_(StatusCode::kOk) {}
+  Status() = default;
   Status(StatusCode code, std::string msg)
-      : code_(code), msg_(std::move(msg)) {}
+      : rep_(code == StatusCode::kOk && msg.empty()
+                 ? nullptr
+                 : std::make_unique<Rep>(Rep{code, std::move(msg)})) {}
+  Status(const Status& other)
+      : rep_(other.rep_ == nullptr ? nullptr
+                                   : std::make_unique<Rep>(*other.rep_)) {}
+  Status& operator=(const Status& other) {
+    if (this != &other) *this = Status(other);
+    return *this;
+  }
+  Status(Status&&) noexcept = default;
+  Status& operator=(Status&&) noexcept = default;
 
   static Status OK() { return Status(); }
   static Status InvalidArgument(std::string m) {
@@ -63,24 +76,29 @@ class Status {
     return Status(StatusCode::kInternal, std::move(m));
   }
 
-  bool ok() const { return code_ == StatusCode::kOk; }
-  StatusCode code() const { return code_; }
-  const std::string& message() const { return msg_; }
+  bool ok() const { return code() == StatusCode::kOk; }
+  StatusCode code() const {
+    return rep_ == nullptr ? StatusCode::kOk : rep_->code;
+  }
+  const std::string& message() const;
 
   bool IsResourceExhausted() const {
-    return code_ == StatusCode::kResourceExhausted;
+    return code() == StatusCode::kResourceExhausted;
   }
-  bool IsUnavailable() const { return code_ == StatusCode::kUnavailable; }
-  bool IsTimedOut() const { return code_ == StatusCode::kTimedOut; }
-  bool IsAborted() const { return code_ == StatusCode::kAborted; }
-  bool IsCorruption() const { return code_ == StatusCode::kCorruption; }
+  bool IsUnavailable() const { return code() == StatusCode::kUnavailable; }
+  bool IsTimedOut() const { return code() == StatusCode::kTimedOut; }
+  bool IsAborted() const { return code() == StatusCode::kAborted; }
+  bool IsCorruption() const { return code() == StatusCode::kCorruption; }
 
   /// Human-readable "CODE: message" form for logs.
   std::string ToString() const;
 
  private:
-  StatusCode code_;
-  std::string msg_;
+  struct Rep {
+    StatusCode code;
+    std::string msg;
+  };
+  std::unique_ptr<Rep> rep_;  // null iff OK with no message
 };
 
 /// \brief Value-or-Status, the return type of fallible value-producing calls.

@@ -1,6 +1,7 @@
 #ifndef SAMYA_COMMON_TOKEN_API_H_
 #define SAMYA_COMMON_TOKEN_API_H_
 
+#include <cstddef>
 #include <cstdint>
 
 #include "common/codec.h"
@@ -45,6 +46,11 @@ struct TokenRequest {
   uint32_t entity = 0;
   TokenOp op = TokenOp::kAcquire;
   int64_t amount = 1;
+
+  /// The longest encoding `DecodeFrom` accepts: the u64 id, a varint entity
+  /// of up to 10 bytes (a sender may pad it), the op byte and a 10-byte
+  /// varint amount.
+  static constexpr size_t kMaxEncodedBytes = 8 + 10 + 1 + 10;
 
   void EncodeTo(BufferWriter& w) const;
   static Result<TokenRequest> DecodeFrom(BufferReader& r);

@@ -1,6 +1,7 @@
 #include "core/app_manager.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/macros.h"
 
@@ -21,10 +22,13 @@ void AppManager::HandleMessage(rt::NodeId from, uint32_t type,
     const size_t start = r.position();
     auto req = TokenRequest::DecodeFrom(r);
     if (!req.ok()) return;
+    const size_t len = r.position() - start;
+    if (len > TokenRequest::kMaxEncodedBytes) return;
 
     Inflight entry;
     entry.client = from;
-    entry.request.assign(r.data() + start, r.data() + r.position());
+    std::memcpy(entry.request.data(), r.data() + start, len);
+    entry.request_len = static_cast<uint8_t>(len);
     if (opts_.rotate_over > 1) {
       entry.site_index = rotation_++ % opts_.rotate_over;
     }
@@ -70,7 +74,7 @@ void AppManager::RelayTo(uint64_t request_id, Inflight& entry) {
   ++entry.attempts;
   ++relayed_;
   if (entry.attempts > 1) ++failover_resends_;
-  Send(site, kMsgTokenRequest, entry.request.data(), entry.request.size());
+  Send(site, kMsgTokenRequest, entry.request.data(), entry.request_len);
   entry.timer = SetTimer(AttemptTimeout(entry), request_id);
 }
 

@@ -1,6 +1,7 @@
 #ifndef SAMYA_CORE_APP_MANAGER_H_
 #define SAMYA_CORE_APP_MANAGER_H_
 
+#include <array>
 #include <functional>
 #include <unordered_map>
 
@@ -62,7 +63,10 @@ class AppManager : public rt::Node {
  private:
   struct Inflight {
     rt::NodeId client = rt::kInvalidNode;
-    std::vector<uint8_t> request;
+    // The client's encoded request, relayed verbatim; held inline so that
+    // relaying allocates no buffer per request.
+    std::array<uint8_t, TokenRequest::kMaxEncodedBytes> request{};
+    uint8_t request_len = 0;
     size_t site_index = 0;
     int attempts = 0;
     uint64_t timer = 0;

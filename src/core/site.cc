@@ -56,8 +56,7 @@ void Site::Start() {
 void Site::HandleCrash() {
   queue_.clear();
   queued_ids_.clear();
-  committed_writes_.clear();
-  committed_writes_prev_.clear();
+  dedup_.Clear();
   reads_.clear();
   election_responses_.clear();
   status_replies_.clear();
@@ -172,7 +171,7 @@ void Site::LoadDurable() {
       tokens_left_ = replay.pool;
       next_oplog_seq_ = replay.next_seq;
       for (const auto& [rid, value] : replay.committed_writes) {
-        RememberWrite(rid, value);
+        dedup_.Remember(rid, value);
       }
       stats_.oplog_replayed += ops->size();
       disconnected_ = true;
@@ -400,7 +399,7 @@ void Site::OnClientRequest(rt::NodeId from, BufferReader& r) {
     return;
   }
   if (req->op != TokenOp::kRead) {
-    if (const int64_t* cached = LookupWrite(req->request_id)) {
+    if (const int64_t* cached = dedup_.Lookup(req->request_id)) {
       Respond(from, req->request_id, TokenStatus::kCommitted, *cached);
       return;
     }
@@ -462,7 +461,7 @@ bool Site::ServeLocally(rt::NodeId client, const TokenRequest& req) {
         tokens_left_ -= req.amount;
         CommitWriteDurably(req, TokenStatus::kCommitted);
         ++stats_.committed_acquires;
-        RememberWrite(req.request_id, tokens_left_);
+        dedup_.Remember(req.request_id, tokens_left_);
         if (flight_ != nullptr) {
           flight_->Record(Now(), id(), obs::FlightKind::kPoolDelta,
                           obs::kPoolServe, -req.amount, tokens_left_,
@@ -476,7 +475,7 @@ bool Site::ServeLocally(rt::NodeId client, const TokenRequest& req) {
       tokens_left_ += req.amount;
       CommitWriteDurably(req, TokenStatus::kCommitted);
       ++stats_.committed_releases;
-      RememberWrite(req.request_id, tokens_left_);
+      dedup_.Remember(req.request_id, tokens_left_);
       if (flight_ != nullptr) {
         flight_->Record(Now(), id(), obs::FlightKind::kPoolDelta,
                         obs::kPoolServe, req.amount, tokens_left_,
@@ -768,28 +767,6 @@ void Site::BroadcastToOthers(uint32_t type, const BufferWriter& w,
   for (rt::NodeId site : targets) {
     if (site != id()) Send(site, type, w);
   }
-}
-
-void Site::RememberWrite(uint64_t request_id, int64_t value) {
-  if (committed_writes_.size() >= kDedupGenerationSize) {
-    committed_writes_prev_ = std::move(committed_writes_);
-    committed_writes_ = {};
-  }
-  if (committed_writes_.bucket_count() < kDedupGenerationSize) {
-    // Pre-size once per generation: without this the map re-grows through
-    // every intermediate bucket count, and each rehash of ~128k entries
-    // stalls the request hot path for a millisecond.
-    committed_writes_.reserve(kDedupGenerationSize);
-  }
-  committed_writes_[request_id] = value;
-}
-
-const int64_t* Site::LookupWrite(uint64_t request_id) const {
-  auto it = committed_writes_.find(request_id);
-  if (it != committed_writes_.end()) return &it->second;
-  it = committed_writes_prev_.find(request_id);
-  if (it != committed_writes_prev_.end()) return &it->second;
-  return nullptr;
 }
 
 void Site::Engage(InstanceId instance) {

@@ -4,7 +4,6 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <unordered_map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -13,6 +12,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/dedup_window.h"
 #include "common/token_api.h"
 #include "core/messages.h"
 #include "core/reallocator.h"
@@ -338,17 +338,9 @@ class Site : public rt::Node {
   std::map<rt::NodeId, StatusReply> status_replies_;
   int any_retransmits_ = 0;
 
-  // At-most-once guard: committed write transactions by request id, so a
-  // client/app-manager retry of an already-applied request is answered from
-  // this cache instead of double-applying (retries happen when a queued
-  // request outlives the client's timeout, e.g. across a partition).
-  // Bounded via two-generation rotation: retries arrive within seconds, so
-  // only the most recent ~2x kDedupGenerationSize ids need to be remembered.
-  static constexpr size_t kDedupGenerationSize = 1 << 17;
-  std::unordered_map<uint64_t, int64_t> committed_writes_;
-  std::unordered_map<uint64_t, int64_t> committed_writes_prev_;
-  void RememberWrite(uint64_t request_id, int64_t value);
-  const int64_t* LookupWrite(uint64_t request_id) const;
+  // At-most-once guard: retries happen when a queued request outlives the
+  // client's timeout, e.g. across a partition.
+  DedupWindow dedup_;
 
   // Reused by Persist (runs per commit) so it stops allocating per call.
   BufferWriter persist_scratch_;

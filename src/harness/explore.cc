@@ -1,6 +1,7 @@
 #include "harness/explore.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <unordered_set>
 #include <utility>
@@ -273,7 +274,11 @@ Result<ExploreCase> ExploreCase::FromJson(const JsonValue& v) {
       for (const JsonValue& op : script.as_array()) {
         workload::Request q;
         q.at = op.GetInt("at_us", 0);
-        q.amount = op.GetInt("amount", 1);
+        const int64_t amount = op.GetInt("amount", 1);
+        if (amount < INT32_MIN || amount > INT32_MAX) {
+          return Status::InvalidArgument("explore case: amount out of range");
+        }
+        q.amount = static_cast<int32_t>(amount);
         if (!RequestTypeFromName(op.GetString("type", ""), &q.type)) {
           return Status::InvalidArgument("explore case: unknown op type '" +
                                          op.GetString("type", "") + "'");

@@ -90,7 +90,7 @@ TEST(DemarcationTest, ConservesTokensUnderLoad) {
     t += rng.UniformInt(1, 5) * kMillisecond;
     script.push_back({t, i % 3 == 0 ? Request::Type::kRelease
                                     : Request::Type::kAcquire,
-                      rng.UniformInt(1, 20)});
+                      static_cast<int32_t>(rng.UniformInt(1, 20))});
   }
   auto* client = rig.AddClient(0, script);
   rig.cluster.StartAll();

@@ -29,6 +29,37 @@ TEST(StatusTest, Predicates) {
   EXPECT_FALSE(Status::OK().IsUnavailable());
 }
 
+TEST(StatusTest, OkIsOnePointer) {
+  static_assert(sizeof(Status) == sizeof(void*));
+  EXPECT_EQ(Status::OK().message(), "");
+  // An OK code with a message keeps the message.
+  const Status s(StatusCode::kOk, "note");
+  EXPECT_TRUE(s.ok());
+  EXPECT_EQ(s.message(), "note");
+  EXPECT_EQ(s.ToString(), "OK");
+  EXPECT_EQ(Status(StatusCode::kInternal, "").ToString(), "INTERNAL");
+}
+
+TEST(StatusTest, CopyAndMoveKeepTheError) {
+  const Status err = Status::Corruption("bad crc");
+  Status copy = err;
+  EXPECT_EQ(copy.code(), StatusCode::kCorruption);
+  EXPECT_EQ(copy.message(), "bad crc");
+  EXPECT_EQ(err.message(), "bad crc");  // the source is untouched
+  Status assigned;
+  assigned = copy;
+  EXPECT_EQ(assigned.ToString(), "CORRUPTION: bad crc");
+  Status moved = std::move(copy);
+  EXPECT_EQ(moved.code(), StatusCode::kCorruption);
+  EXPECT_EQ(moved.message(), "bad crc");
+  Status move_assigned;
+  move_assigned = std::move(moved);
+  EXPECT_EQ(move_assigned.ToString(), "CORRUPTION: bad crc");
+  assigned = Status::OK();
+  EXPECT_TRUE(assigned.ok());
+  EXPECT_EQ(assigned.message(), "");
+}
+
 TEST(StatusTest, AllCodesHaveNames) {
   for (int c = 0; c <= static_cast<int>(StatusCode::kInternal); ++c) {
     EXPECT_STRNE(StatusCodeName(static_cast<StatusCode>(c)), "UNKNOWN");

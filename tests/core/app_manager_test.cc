@@ -262,5 +262,48 @@ TEST(AppManagerTest, SingleAttemptRunsIgnoreJitterKnobs) {
   EXPECT_EQ(run(0.0), run(0.9));
 }
 
+TEST(AppManagerTest, RelaysMaximumLengthRequestByteForByte) {
+  // The longest request the decoder accepts pads both varints to 10 bytes;
+  // the site must receive exactly the client's bytes.
+  class Sink : public sim::Node {
+   public:
+    using Node::Node;
+    void HandleMessage(sim::NodeId, uint32_t type, BufferReader& r) override {
+      if (type != kMsgTokenRequest) return;
+      received.assign(r.data(), r.data() + r.remaining());
+    }
+    void SendRaw(sim::NodeId to, const std::vector<uint8_t>& bytes) {
+      Send(to, kMsgTokenRequest, bytes.data(), bytes.size());
+    }
+    std::vector<uint8_t> received;
+  };
+  sim::Cluster cluster(11);
+  auto* site = cluster.AddNode<Sink>(sim::Region::kUsWest1);
+  auto* client = cluster.AddNode<Sink>(sim::Region::kUsWest1);
+  AppManagerOptions aopts;
+  aopts.sites = {site->id()};
+  auto* am = cluster.AddNode<AppManager>(sim::Region::kUsWest1, aopts);
+
+  BufferWriter w;
+  w.PutU64(0x0102030405060708);
+  for (int i = 0; i < 9; ++i) w.PutU8(0x80);  // entity 0, padded
+  w.PutU8(0x00);
+  w.PutU8(static_cast<uint8_t>(TokenOp::kAcquire));
+  w.PutU8(0x82);  // amount 1 (zigzag 2), padded
+  for (int i = 0; i < 8; ++i) w.PutU8(0x80);
+  w.PutU8(0x00);
+  const std::vector<uint8_t> bytes = w.buffer();
+  ASSERT_EQ(bytes.size(), TokenRequest::kMaxEncodedBytes);
+  BufferReader check(bytes);
+  auto decoded = TokenRequest::DecodeFrom(check);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded->amount, 1);
+
+  cluster.StartAll();
+  client->SendRaw(am->id(), bytes);
+  cluster.env().RunFor(Seconds(1));
+  EXPECT_EQ(site->received, bytes);
+}
+
 }  // namespace
 }  // namespace samya::core

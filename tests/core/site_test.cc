@@ -44,7 +44,7 @@ struct Rig {
 };
 
 std::vector<Request> Script(
-    std::vector<std::tuple<SimTime, Request::Type, int64_t>> rs) {
+    std::vector<std::tuple<SimTime, Request::Type, int32_t>> rs) {
   std::vector<Request> out;
   for (auto& [at, type, amount] : rs) out.push_back({at, type, amount});
   return out;

@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "harness/explore.h"
 #include "harness/postmortem.h"
 
 namespace samya::harness {
@@ -152,6 +153,22 @@ TEST(CorpusReplayTest, CorpusFilesAreCanonicalJson) {
     auto doc = JsonParse(text);
     ASSERT_TRUE(doc.ok());
     EXPECT_EQ(text, JsonDump(doc.value(), /*indent=*/2));
+  }
+}
+
+TEST(CorpusReplayTest, ScriptAmountOutsideInt32IsRejected) {
+  // Script requests store int32 amounts; a case file must not smuggle in a
+  // wider one that would be truncated.
+  const std::string text = ReadFile(std::filesystem::path(SCHEDULE_CORPUS_DIR) /
+                                    "explore_samya_any_replay_seed1.json");
+  const std::string field = "\"amount\": 1";
+  const size_t at = text.find(field);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_TRUE(ExploreCase::FromJson(JsonParse(text).value()).ok());
+  for (const char* amount : {"2147483648", "-2147483649"}) {
+    std::string bad = text;
+    bad.replace(at, field.size(), std::string("\"amount\": ") + amount);
+    EXPECT_FALSE(ExploreCase::FromJson(JsonParse(bad).value()).ok()) << amount;
   }
 }
 

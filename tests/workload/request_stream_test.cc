@@ -81,5 +81,50 @@ TEST(RequestStreamTest, CompressedHourHasPaperScaleVolume) {
   EXPECT_LT(reqs.size(), 400000u);
 }
 
+// FNV-1a over every request's (at, type, amount), in script order.
+uint64_t ScriptChecksum(const std::vector<Request>& reqs) {
+  uint64_t h = 1469598103934665603ull;
+  const auto mix = [&h](int64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (static_cast<uint64_t>(v) >> (8 * i)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  };
+  for (const auto& r : reqs) {
+    mix(r.at);
+    mix(static_cast<int64_t>(r.type));
+    mix(r.amount);
+  }
+  return h;
+}
+
+TEST(RequestStreamTest, ThirtyMinuteScriptsArePinned) {
+  // Checksums of 30-min §5.1.2 scripts, computed when Request was 24 bytes
+  // and the script grew by doubling. Seed 49 orders 2 (no reads) and 6 (20%
+  // reads) equal-time pairs of different types, so the sort's handling of
+  // ties is pinned too.
+  const auto trace = CompressTime(GenerateAzureTrace({}), 60);
+  struct Pinned {
+    double read_ratio;
+    uint64_t seed;
+    size_t size;
+    uint64_t checksum;
+  };
+  for (const Pinned& p : {Pinned{0.0, 7, 87753, 0x7b5ceed64dbc8cc4ull},
+                          Pinned{0.0, 49, 87753, 0x808d04f56b8bdad6ull},
+                          Pinned{0.2, 7, 109991, 0xe3d611873d7aeb3bull},
+                          Pinned{0.2, 49, 109542, 0x16da5aa4b15a2f6dull}}) {
+    RequestStreamOptions opts;
+    opts.read_ratio = p.read_ratio;
+    opts.horizon = 30 * kMinute;
+    opts.seed = p.seed;
+    const auto reqs = GenerateRequests(trace, opts);
+    EXPECT_EQ(reqs.size(), p.size) << "seed " << p.seed;
+    EXPECT_EQ(ScriptChecksum(reqs), p.checksum) << "seed " << p.seed;
+    // The reservation covers the script, so it never doubled.
+    EXPECT_LT(reqs.capacity(), reqs.size() + reqs.size() / 100);
+  }
+}
+
 }  // namespace
 }  // namespace samya::workload
