@@ -1,7 +1,8 @@
 // Component micro-benchmarks (google-benchmark): the hot paths under every
-// experiment — codec, CRC, RNG, histogram, event loop, flight recorder,
-// the at-most-once window, Algorithm 2, message round trips, WAL appends,
-// predictor inference, and trace and script generation.
+// experiment — codec, CRC, RNG, histogram, event loop, one request's event
+// cadence, flight recorder, the at-most-once window, Algorithm 2, message
+// round trips, WAL appends, predictor inference, and trace and script
+// generation.
 
 #include <benchmark/benchmark.h>
 #include <fcntl.h>
@@ -86,6 +87,41 @@ void BM_SimEventLoop(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_SimEventLoop);
+
+/// The event-queue cadence of one simulated request, as a profile of
+/// perfbench's contended-rw counts it: 4 message deliveries (the last one,
+/// the reply, cancels the timeouts), 1 timer that fires, and the app
+/// manager's 1.5 s and the client's 3 s timeouts, armed at the request and
+/// cancelled by its reply. A request starts every 2 ms of simulated time,
+/// which holds about 200 events pending, near contended-rw's heap depth.
+/// Items are requests: 7 pushes, 5 pops and 2 cancels each.
+void BM_RequestCadence(benchmark::State& state) {
+  sim::SimEnvironment env(1);
+  sim::SimEnvironment* e = &env;
+  Rng rng(29);
+  int64_t fired = 0;
+  auto request = [&] {
+    const uint64_t client_timeout = env.Schedule(Seconds(3), [] {});
+    const uint64_t site_timeout = env.Schedule(Millis(1500), [] {});
+    for (int i = 0; i < 3; ++i) {
+      env.Schedule(rng.UniformInt(Micros(100), Millis(80)),
+                   [&fired] { ++fired; });
+    }
+    env.Schedule(Millis(5), [&fired] { ++fired; });
+    env.Schedule(Millis(100), [e, client_timeout, site_timeout] {
+      e->Cancel(site_timeout);
+      e->Cancel(client_timeout);
+    });
+    env.RunFor(Millis(2));
+  };
+  for (int i = 0; i < 1000; ++i) request();  // reach the steady depth
+  for (auto _ : state) request();
+  benchmark::DoNotOptimize(fired);
+  state.SetItemsProcessed(state.iterations());
+  state.counters["pending_events"] =
+      static_cast<double>(env.pending_events());
+}
+BENCHMARK(BM_RequestCadence);
 
 /// One `FlightRecorder::Record` of a message send, as the network's send
 /// path makes it. The bounded ring is pre-filled four times over, so every

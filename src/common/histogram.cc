@@ -1,6 +1,8 @@
 #include "common/histogram.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -14,9 +16,18 @@ namespace {
 
 // Exponentially spaced bucket upper bounds: next = max(cur+1, cur*1.046),
 // covering [0, ~9e18] in ~1000 buckets (~4.6% relative error).
-const std::vector<int64_t>& BucketBounds() {
-  static const std::vector<int64_t>& bounds = *new std::vector<int64_t>([] {
-    std::vector<int64_t> b;
+struct BucketTable {
+  std::vector<int64_t> bounds;
+  /// by_width[w]: the bucket of the smallest value of bit width w, that is
+  /// of 2^(w-1) (of 0 for w = 0); by_width[64] is the last bucket. The
+  /// bucket of a value of width w lies in [by_width[w], by_width[w + 1]].
+  std::array<size_t, 65> by_width{};
+};
+
+const BucketTable& Buckets() {
+  static const BucketTable& table = *new BucketTable([] {
+    BucketTable t;
+    std::vector<int64_t>& b = t.bounds;
     int64_t cur = 0;
     while (cur < std::numeric_limits<int64_t>::max() / 2) {
       int64_t next = std::max(cur + 1, static_cast<int64_t>(
@@ -25,27 +36,41 @@ const std::vector<int64_t>& BucketBounds() {
       cur = next;
     }
     b.push_back(std::numeric_limits<int64_t>::max());
-    return b;
+    for (int w = 0; w < 64; ++w) {
+      const int64_t smallest = w == 0 ? 0 : int64_t{1} << (w - 1);
+      t.by_width[static_cast<size_t>(w)] = static_cast<size_t>(
+          std::lower_bound(b.begin(), b.end(), smallest) - b.begin());
+    }
+    t.by_width[64] = b.size() - 1;
+    return t;
   }());
-  return bounds;
+  return table;
 }
 
 }  // namespace
 
-Histogram::Histogram() : buckets_(BucketBounds().size(), 0) {}
+Histogram::Histogram() : buckets_(Buckets().bounds.size(), 0) {}
 
 size_t Histogram::BucketFor(int64_t value) {
-  const auto& bounds = BucketBounds();
-  // First bucket whose upper bound is >= value.
-  auto it = std::lower_bound(bounds.begin(), bounds.end(), value);
-  return static_cast<size_t>(it - bounds.begin());
+  if (value <= 0) return 0;  // bounds[0] is 1
+  // First bucket whose upper bound is >= value, searched only among the
+  // ~16 buckets of this bit width. If every bound there is below the value,
+  // lower_bound returns the range's end, by_width[w + 1]: the answer.
+  const BucketTable& t = Buckets();
+  const auto w =
+      static_cast<size_t>(std::bit_width(static_cast<uint64_t>(value)));
+  const auto begin = t.bounds.begin();
+  const auto it = std::lower_bound(
+      begin + static_cast<std::ptrdiff_t>(t.by_width[w]),
+      begin + static_cast<std::ptrdiff_t>(t.by_width[w + 1]), value);
+  return static_cast<size_t>(it - begin);
 }
 
 int64_t Histogram::BucketLower(size_t b) {
-  return b == 0 ? 0 : BucketBounds()[b - 1];
+  return b == 0 ? 0 : Buckets().bounds[b - 1];
 }
 
-int64_t Histogram::BucketUpper(size_t b) { return BucketBounds()[b]; }
+int64_t Histogram::BucketUpper(size_t b) { return Buckets().bounds[b]; }
 
 void Histogram::Record(int64_t value) {
   if (value < 0) value = 0;

@@ -45,10 +45,14 @@ class Histogram {
   /// one per non-empty bucket (empty histograms export an empty CDF).
   JsonValue ToJson() const;
 
- private:
+  /// Index of the bucket that `value` is recorded in: the first whose upper
+  /// bound is >= value (0 for value <= 0). Public for its exactness test.
   static size_t BucketFor(int64_t value);
-  static int64_t BucketLower(size_t b);
+  /// Inclusive upper bound of bucket `b`; the last bucket's is INT64_MAX.
   static int64_t BucketUpper(size_t b);
+
+ private:
+  static int64_t BucketLower(size_t b);
 
   std::vector<uint64_t> buckets_;
   uint64_t count_ = 0;

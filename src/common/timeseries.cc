@@ -1,7 +1,5 @@
 #include "common/timeseries.h"
 
-#include <cmath>
-#include <cstdio>
 #include <numeric>
 
 #include "common/macros.h"
@@ -17,10 +15,6 @@ void RateSeries::Record(SimTime t, int64_t count) {
 
 int64_t RateSeries::total() const {
   return std::accumulate(bins_.begin(), bins_.end(), int64_t{0});
-}
-
-double RateSeries::RatePerSecond(size_t i) const {
-  return static_cast<double>(bin(i)) / ToSeconds(interval_);
 }
 
 double RateSeries::MeanRate(SimTime from, SimTime to) const {
@@ -43,33 +37,6 @@ std::vector<double> RateSeries::Resample(Duration coarse) const {
     out.push_back(static_cast<double>(sum) / ToSeconds(coarse));
   }
   return out;
-}
-
-std::string RateSeries::ToCsv(Duration coarse) const {
-  std::string s = "minute,tps\n";
-  const auto rates = Resample(coarse);
-  char line[64];
-  for (size_t i = 0; i < rates.size(); ++i) {
-    const double minute =
-        static_cast<double>(i) * static_cast<double>(coarse) / kMinute;
-    std::snprintf(line, sizeof(line), "%.2f,%.1f\n", minute, rates[i]);
-    s += line;
-  }
-  return s;
-}
-
-double Mean(const std::vector<double>& xs) {
-  if (xs.empty()) return 0.0;
-  return std::accumulate(xs.begin(), xs.end(), 0.0) /
-         static_cast<double>(xs.size());
-}
-
-double StdDev(const std::vector<double>& xs) {
-  if (xs.size() < 2) return 0.0;
-  const double m = Mean(xs);
-  double acc = 0.0;
-  for (double x : xs) acc += (x - m) * (x - m);
-  return std::sqrt(acc / static_cast<double>(xs.size() - 1));
 }
 
 }  // namespace samya

@@ -2,7 +2,6 @@
 #define SAMYA_COMMON_TIMESERIES_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/time.h"
@@ -27,9 +26,6 @@ class RateSeries {
   int64_t bin(size_t i) const { return i < bins_.size() ? bins_[i] : 0; }
   int64_t total() const;
 
-  /// Events per second within bin `i`.
-  double RatePerSecond(size_t i) const;
-
   /// Mean events/second over [from, to) in simulated time.
   double MeanRate(SimTime from, SimTime to) const;
 
@@ -37,17 +33,10 @@ class RateSeries {
   /// native interval); returns events/second per coarse bin.
   std::vector<double> Resample(Duration coarse) const;
 
-  /// Renders "t_minutes,rate" CSV rows for plotting.
-  std::string ToCsv(Duration coarse) const;
-
  private:
   Duration interval_;
   std::vector<int64_t> bins_;
 };
-
-/// Summary statistics helpers for plain double series.
-double Mean(const std::vector<double>& xs);
-double StdDev(const std::vector<double>& xs);
 
 }  // namespace samya
 

@@ -11,7 +11,6 @@ AppManager::AppManager(rt::NodeId id, rt::Region region,
                        AppManagerOptions opts)
     : Node(id, region), opts_(std::move(opts)) {
   SAMYA_CHECK(!opts_.sites.empty());
-  inflight_.reserve(256);
 }
 
 void AppManager::HandleMessage(rt::NodeId from, uint32_t type,
@@ -24,6 +23,8 @@ void AppManager::HandleMessage(rt::NodeId from, uint32_t type,
     if (!req.ok()) return;
     const size_t len = r.position() - start;
     if (len > TokenRequest::kMaxEncodedBytes) return;
+    // Id 0 cannot key a routing entry; no client issues it.
+    if (req->request_id == 0) return;
 
     Inflight entry;
     entry.client = from;
@@ -32,22 +33,22 @@ void AppManager::HandleMessage(rt::NodeId from, uint32_t type,
     if (opts_.rotate_over > 1) {
       entry.site_index = rotation_++ % opts_.rotate_over;
     }
-    Inflight& slot = inflight_[req->request_id];
-    slot = std::move(entry);
+    Inflight& slot = *inflight_.try_emplace(req->request_id).first;
+    slot = entry;
     RelayTo(req->request_id, slot);
     return;
   }
   SAMYA_CHECK_EQ(type, kMsgTokenResponse);
   auto resp = TokenResponse::DecodeFrom(r);
   if (!resp.ok()) return;
-  auto it = inflight_.find(resp->request_id);
-  if (it == inflight_.end()) return;  // stale (timed out / crashed meanwhile)
+  Inflight* entry = inflight_.find(resp->request_id);
+  if (entry == nullptr) return;  // stale (timed out / crashed meanwhile)
   if (response_tap_) response_tap_(*resp);
-  CancelTimer(it->second.timer);
+  CancelTimer(entry->timer);
   send_scratch_.Clear();
   resp->EncodeTo(send_scratch_);
-  Send(it->second.client, kMsgTokenResponse, send_scratch_);
-  inflight_.erase(it);
+  Send(entry->client, kMsgTokenResponse, send_scratch_);
+  inflight_.erase(resp->request_id);
 }
 
 Duration AppManager::AttemptTimeout(const Inflight& entry) {
@@ -79,12 +80,12 @@ void AppManager::RelayTo(uint64_t request_id, Inflight& entry) {
 }
 
 void AppManager::HandleTimer(uint64_t token) {
-  auto it = inflight_.find(token);
-  if (it == inflight_.end()) return;
-  Inflight& entry = it->second;
+  Inflight* found = inflight_.find(token);
+  if (found == nullptr) return;
+  Inflight& entry = *found;
   if (entry.attempts >= opts_.max_attempts) {
     // Give up; the client's own retry/timeout policy takes over.
-    inflight_.erase(it);
+    inflight_.erase(token);
     return;
   }
   ++entry.site_index;  // fail over to the next-closest site

@@ -3,8 +3,8 @@
 
 #include <array>
 #include <functional>
-#include <unordered_map>
 
+#include "common/flat_map64.h"
 #include "common/token_api.h"
 #include "rt/node.h"
 
@@ -78,9 +78,9 @@ class AppManager : public rt::Node {
 
   AppManagerOptions opts_;
   ResponseTap response_tap_;  // checker hook; not protocol state
-  // Keyed lookups only (no ordered iteration), and one insert+erase per
-  // relayed request, so a pre-sized hash map beats the red-black tree.
-  std::unordered_map<uint64_t, Inflight> inflight_;
+  // Keyed by request id; keyed lookups only (no ordered iteration), and one
+  // insert+erase per relayed request, held inline in a flat table.
+  FlatMap64<Inflight> inflight_;
   uint64_t relayed_ = 0;
   uint64_t failover_resends_ = 0;
   size_t rotation_ = 0;

@@ -137,8 +137,4 @@ std::vector<Allocation> ProportionalReallocator::Reallocate(
   });
 }
 
-std::unique_ptr<Reallocator> MakeGreedyReallocator() {
-  return std::make_unique<GreedyReallocator>();
-}
-
 }  // namespace samya::core

@@ -56,8 +56,6 @@ class ProportionalReallocator : public Reallocator {
   std::vector<Allocation> Reallocate(const StateList& list) const override;
 };
 
-std::unique_ptr<Reallocator> MakeGreedyReallocator();
-
 }  // namespace samya::core
 
 #endif  // SAMYA_CORE_REALLOCATOR_H_

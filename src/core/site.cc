@@ -583,43 +583,43 @@ void Site::StartGlobalRead(rt::NodeId client, const TokenRequest& req) {
     return;
   }
   const uint64_t read_id = next_read_id_++;
-  PendingRead& pending = reads_[read_id];
+  PendingRead& pending = *reads_.try_emplace(read_id).first;
   pending.client = client;
   pending.request_id = req.request_id;
   pending.timer = SetTimer(opts_.read_timeout, ReadTimerToken(read_id));
   RecordRequestWait(obs::kRequestRead, req);
-  BufferWriter w;
-  ReadQuery{read_id}.EncodeTo(w);
+  send_scratch_.Clear();
+  ReadQuery{read_id}.EncodeTo(send_scratch_);
   for (rt::NodeId site : opts_.sites) {
-    if (site != id()) Send(site, kMsgReadQuery, w);
+    if (site != id()) Send(site, kMsgReadQuery, send_scratch_);
   }
 }
 
 void Site::OnReadQuery(rt::NodeId from, const ReadQuery& m) {
-  BufferWriter w;
-  ReadReply{m.read_id, tokens_left_}.EncodeTo(w);
-  Send(from, kMsgReadReply, w);
+  send_scratch_.Clear();
+  ReadReply{m.read_id, tokens_left_}.EncodeTo(send_scratch_);
+  Send(from, kMsgReadReply, send_scratch_);
 }
 
 void Site::OnReadReply(const ReadReply& m) {
-  auto it = reads_.find(m.read_id);
-  if (it == reads_.end()) return;
-  it->second.sum += m.tokens_left;
-  ++it->second.replies;
-  if (it->second.replies == opts_.sites.size() - 1) {
-    CancelTimer(it->second.timer);
+  PendingRead* pending = reads_.find(m.read_id);
+  if (pending == nullptr) return;
+  pending->sum += m.tokens_left;
+  ++pending->replies;
+  if (pending->replies == opts_.sites.size() - 1) {
+    CancelTimer(pending->timer);
     CompleteRead(m.read_id);
   }
 }
 
 void Site::CompleteRead(uint64_t read_id) {
-  auto it = reads_.find(read_id);
-  if (it == reads_.end()) return;
+  const PendingRead* pending = reads_.find(read_id);
+  if (pending == nullptr) return;
   ++stats_.committed_reads;
-  Respond(it->second.client, it->second.request_id, TokenStatus::kCommitted,
-          it->second.sum + tokens_left_);
-  RecordRequestAnswered(it->second.request_id, TokenStatus::kCommitted);
-  reads_.erase(it);
+  Respond(pending->client, pending->request_id, TokenStatus::kCommitted,
+          pending->sum + tokens_left_);
+  RecordRequestAnswered(pending->request_id, TokenStatus::kCommitted);
+  reads_.erase(read_id);
 }
 
 // --------------------------------------------------------------------------

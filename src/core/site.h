@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/dedup_window.h"
+#include "common/flat_map64.h"
 #include "common/token_api.h"
 #include "core/messages.h"
 #include "core/reallocator.h"
@@ -344,13 +345,14 @@ class Site : public rt::Node {
 
   // Reused by Persist (runs per commit) so it stops allocating per call.
   BufferWriter persist_scratch_;
-  // Reused by Respond (runs per client request); distinct from
-  // persist_scratch_ because Persist can run inside the same call chain.
+  // Reused by Respond (runs per client request) and the read fan-out
+  // (StartGlobalRead, OnReadQuery); distinct from persist_scratch_ because
+  // Persist can run inside the same call chain.
   BufferWriter send_scratch_;
 
-  // Reads.
+  // Reads, keyed by read id (from 1; keyed lookups only).
   uint64_t next_read_id_ = 1;
-  std::map<uint64_t, PendingRead> reads_;
+  FlatMap64<PendingRead> reads_;
 
   // --- Disconnected mode (DESIGN.md §12) -----------------------------------
   bool disconnected_ = false;        // inside a disconnected epoch

@@ -20,7 +20,6 @@ WorkloadClient::WorkloadClient(sim::NodeId id, sim::Region region,
   // Request ids must be globally unique: clients can share an app manager,
   // which keys its routing table by request id.
   next_request_id_ = (static_cast<uint64_t>(id) << 40) + 1;
-  outstanding_.reserve(64);
 }
 
 void WorkloadClient::Start() { ScheduleNext(); }
@@ -94,8 +93,7 @@ void WorkloadClient::IssueNext() {
     if (opts_.history != nullptr) {
       opts_.history->OnInvoke(id(), out.request, Now());
     }
-    const uint64_t id = out.request.request_id;
-    Outstanding& slot = outstanding_[id];
+    Outstanding& slot = *outstanding_.try_emplace(out.request.request_id).first;
     slot = out;
     // Prefer a learned leader hint if it is one of our candidate servers;
     // otherwise the closest server.
@@ -126,9 +124,9 @@ void WorkloadClient::HandleTimer(uint64_t token) {
   }
   const uint64_t id = token >> 1;
   const bool is_retry = (token & 1) != 0;
-  auto it = outstanding_.find(id);
-  if (it == outstanding_.end()) return;
-  Outstanding& out = it->second;
+  Outstanding* found = outstanding_.find(id);
+  if (found == nullptr) return;
+  Outstanding& out = *found;
 
   if (is_retry) {
     SendTo(out, out.target);
@@ -137,7 +135,7 @@ void WorkloadClient::HandleTimer(uint64_t token) {
   // Timeout: try another server or give up.
   if (out.attempts >= opts_.max_attempts) {
     ++stats_.dropped;
-    outstanding_.erase(it);
+    outstanding_.erase(id);
     ScheduleNext();
     return;
   }
@@ -150,9 +148,10 @@ void WorkloadClient::HandleMessage(sim::NodeId from, uint32_t type,
   SAMYA_CHECK_EQ(type, kMsgTokenResponse);
   auto resp = TokenResponse::DecodeFrom(r);
   if (!resp.ok()) return;
-  auto it = outstanding_.find(resp->request_id);
-  if (it == outstanding_.end()) return;  // duplicate/stale response
-  Outstanding& out = it->second;
+  const uint64_t id = resp->request_id;
+  Outstanding* found = outstanding_.find(id);
+  if (found == nullptr) return;  // duplicate/stale response
+  Outstanding& out = *found;
   CancelTimer(out.timeout_timer);
 
   if (opts_.history != nullptr && (resp->status == TokenStatus::kCommitted ||
@@ -177,7 +176,7 @@ void WorkloadClient::HandleMessage(sim::NodeId from, uint32_t type,
           ++stats_.committed_reads;
           break;
       }
-      outstanding_.erase(it);
+      outstanding_.erase(id);
       ScheduleNext();
       return;
     }
@@ -189,7 +188,7 @@ void WorkloadClient::HandleMessage(sim::NodeId from, uint32_t type,
       if (out.request.op == TokenOp::kRelease) {
         balance_ += out.request.amount;
       }
-      outstanding_.erase(it);
+      outstanding_.erase(id);
       ScheduleNext();
       return;
     case TokenStatus::kNotLeader: {
@@ -198,7 +197,7 @@ void WorkloadClient::HandleMessage(sim::NodeId from, uint32_t type,
         if (out.request.op == TokenOp::kRelease) {
           balance_ += out.request.amount;  // definitive: never applied
         }
-        outstanding_.erase(it);
+        outstanding_.erase(id);
         ScheduleNext();
         return;
       }
@@ -216,7 +215,7 @@ void WorkloadClient::HandleMessage(sim::NodeId from, uint32_t type,
         if (out.request.op == TokenOp::kRelease) {
           balance_ += out.request.amount;  // definitive: never applied
         }
-        outstanding_.erase(it);
+        outstanding_.erase(id);
         ScheduleNext();
         return;
       }

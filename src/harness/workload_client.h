@@ -1,9 +1,9 @@
 #ifndef SAMYA_HARNESS_WORKLOAD_CLIENT_H_
 #define SAMYA_HARNESS_WORKLOAD_CLIENT_H_
 
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_map64.h"
 #include "common/histogram.h"
 #include "common/timeseries.h"
 #include "common/token_api.h"
@@ -111,10 +111,9 @@ class WorkloadClient : public sim::Node {
   size_t next_request_ = 0;
   uint64_t next_request_id_ = 1;
   sim::NodeId leader_hint_ = sim::kInvalidNode;
-  // Keyed lookups only, never iterated in order; bounded by the client
-  // window, so a small pre-sized hash map avoids a node allocation per
-  // request.
-  std::unordered_map<uint64_t, Outstanding> outstanding_;
+  // Keyed by request id (never 0); keyed lookups only, never iterated. The
+  // flat table stores entries inline, so a request allocates nothing here.
+  FlatMap64<Outstanding> outstanding_;
   bool issue_timer_armed_ = false;  ///< at most one pending issue timer
   int64_t balance_ = 0;  ///< tokens acquired minus tokens released
   ClientStats stats_;

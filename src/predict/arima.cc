@@ -135,8 +135,4 @@ double ArimaPredictor::PredictNext() {
   return next < 0 ? 0 : next;
 }
 
-std::unique_ptr<DemandPredictor> MakeArima(ArimaOptions opts) {
-  return std::make_unique<ArimaPredictor>(opts);
-}
-
 }  // namespace samya::predict

@@ -62,8 +62,6 @@ class ArimaPredictor : public DemandPredictor {
   std::vector<double> resid_; // residuals aligned with w_
 };
 
-std::unique_ptr<DemandPredictor> MakeArima(ArimaOptions opts = {});
-
 }  // namespace samya::predict
 
 #endif  // SAMYA_PREDICT_ARIMA_H_

@@ -211,8 +211,4 @@ double LstmPredictor::PredictNext() {
   return pred < 0 ? 0 : pred;
 }
 
-std::unique_ptr<DemandPredictor> MakeLstm(LstmOptions opts) {
-  return std::make_unique<LstmPredictor>(opts);
-}
-
 }  // namespace samya::predict

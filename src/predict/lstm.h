@@ -82,8 +82,6 @@ class LstmPredictor : public DemandPredictor {
   std::vector<double> history_;
 };
 
-std::unique_ptr<DemandPredictor> MakeLstm(LstmOptions opts = {});
-
 }  // namespace samya::predict
 
 #endif  // SAMYA_PREDICT_LSTM_H_

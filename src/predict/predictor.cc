@@ -49,14 +49,6 @@ double SeasonalNaivePredictor::PredictNext() {
   return p < 0 ? 0 : p;
 }
 
-std::unique_ptr<DemandPredictor> MakeRandomWalk() {
-  return std::make_unique<RandomWalkPredictor>();
-}
-
-std::unique_ptr<DemandPredictor> MakeEwma(double alpha) {
-  return std::make_unique<EwmaPredictor>(alpha);
-}
-
 std::unique_ptr<DemandPredictor> MakeSeasonalNaive(size_t period) {
   return std::make_unique<SeasonalNaivePredictor>(period);
 }

@@ -90,9 +90,7 @@ class SeasonalNaivePredictor : public DemandPredictor {
   EwmaPredictor level_{0.4};
 };
 
-/// Factory helpers used by SamyaOptions.
-std::unique_ptr<DemandPredictor> MakeRandomWalk();
-std::unique_ptr<DemandPredictor> MakeEwma(double alpha = 0.3);
+/// Factory used by `SiteOptions`' default predictor.
 std::unique_ptr<DemandPredictor> MakeSeasonalNaive(size_t period);
 
 }  // namespace samya::predict

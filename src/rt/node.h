@@ -4,7 +4,7 @@
 #include <cstdint>
 
 #include "common/codec.h"
-#include "common/flat_set64.h"
+#include "common/flat_map64.h"
 #include "common/macros.h"
 #include "common/random.h"
 #include "common/time.h"

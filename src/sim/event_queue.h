@@ -55,6 +55,18 @@ struct Event {
 /// the rest. A handle validates itself: after its event was popped or
 /// cancelled, or its slot was reused, the slot holds a different key and
 /// `Cancel` is a no-op. Slot 0 is never allocated, so no handle is 0.
+///
+/// The far list. Most long timers never fire: every request arms a client
+/// timeout and an app-manager timeout of a second or more and cancels both
+/// when the reply comes. An event due after `near_limit_` therefore skips
+/// the heap and is appended to an unsorted far list; cancelling it only
+/// frees its slot. When the heap runs dry, `Refill` drops the far list's
+/// dead keys, finds its earliest live event, sets the limit to that time
+/// plus `kFarHorizon` and heapifies every far event due before it. Every
+/// heap key is due no later than the limit and every far key after it, so
+/// the heap's top is still the global `(time, seq)` minimum: the pop order
+/// is exactly that of one heap. With meta tracking on (the schedule
+/// oracle), nothing goes far.
 class EventQueue {
  public:
   /// Message identity carried per slot when meta tracking is on (schedule
@@ -64,6 +76,12 @@ class EventQueue {
     int32_t to = -1;
     uint32_t type = 0;
   };
+
+  /// Width of the window that `Refill` moves from the far list into the
+  /// heap. Message deliveries (one-way region latencies plus jitter) nearly
+  /// all stay in the heap; the client's 3 s and the app manager's 1.5 s
+  /// timeouts go far.
+  static constexpr Duration kFarHorizon = Millis(500);
 
   EventQueue() : slots_(1), slot_keys_(1, 0) {}  // slot 0: never allocated
 
@@ -112,6 +130,12 @@ class EventQueue {
     slots_[slot] = std::move(fn);
     slot_keys_[slot] = handle;
     if (track_meta_) metas_[slot] = MsgMeta{};  // mark non-message
+    ++live_;
+    if (time > near_limit_) {
+      far_.push_back(Entry{time, handle});
+      if (heap_.empty()) Refill();
+      return;
+    }
     heap_.emplace_back();  // open a hole at the end
     SiftUp(heap_.size() - 1, Entry{time, handle});
   }
@@ -125,27 +149,37 @@ class EventQueue {
     slot_keys_[slot] = 0;
     slots_[slot] = SimCallback();  // release the captures now
     free_slots_.push_back(slot);
-    ++dead_;
-    DropDeadTop();
-    if (dead_ > heap_.size() / 2) Compact();
+    --live_;
+    RestoreTop();
+    if (dead_keys() > (heap_.size() + far_.size()) / 2) Compact();
     return true;
   }
 
   /// Turns on per-slot message metadata. Off (the default), `Push` does no
   /// extra work; on, each push writes one 12-byte meta record. Enable before
   /// the first push of a run (the schedule oracle needs every slot tagged).
+  /// It also empties the far list into the heap and keeps it empty: the
+  /// oracle's scans see the heap alone.
   void EnableMetaTracking() {
     track_meta_ = true;
     metas_.resize(slots_.size());
+    near_limit_ = kNever;
+    for (const Entry& e : far_) {
+      if (!Dead(e)) heap_.push_back(e);
+    }
+    far_.clear();
+    Heapify();
   }
   bool meta_tracking() const { return track_meta_; }
 
   bool empty() const { return heap_.empty(); }  // the top is always live
   /// Live events only; cancelled ones are not counted.
-  size_t size() const { return heap_.size() - dead_; }
-  /// Cancelled keys still in the heap. `Cancel` compacts whenever they
-  /// would outnumber the live ones.
-  size_t dead_keys() const { return dead_; }
+  size_t size() const { return live_; }
+  /// Cancelled keys still in the heap or the far list. `Cancel` compacts
+  /// both whenever they would outnumber the live ones.
+  size_t dead_keys() const { return heap_.size() + far_.size() - live_; }
+  /// Keys, live or dead, waiting in the far list (test hook).
+  size_t far_keys() const { return far_.size(); }
 
   SimTime NextTime() const {
     SAMYA_CHECK(!heap_.empty());
@@ -178,7 +212,8 @@ class EventQueue {
     const Entry top = heap_[0];
     RemoveTop();
     slot_keys_[SlotOf(top.key)] = 0;  // popped: its handle is stale now
-    DropDeadTop();
+    --live_;
+    RestoreTop();
     return Popped{top.time, top.key >> kSlotBits, SlotOf(top.key)};
   }
 
@@ -235,7 +270,8 @@ class EventQueue {
         }
       }
       slot_keys_[SlotOf(found.key)] = 0;
-      DropDeadTop();
+      --live_;
+      RestoreTop();
       return Popped{found.time, found.key >> kSlotBits, SlotOf(found.key)};
     }
     SAMYA_CHECK(false);  // key not pending — oracle/driver bug
@@ -246,6 +282,7 @@ class EventQueue {
   static constexpr size_t kArity = 4;
   static constexpr unsigned kSlotBits = 24;
   static constexpr uint64_t kSlotMask = (1ull << kSlotBits) - 1;
+  static constexpr SimTime kNever = INT64_MAX;
 
   /// Heap key: everything ordering needs, nothing that is expensive to
   /// move. `key` packs (seq, slot); comparing raw `key`s compares seqs,
@@ -270,28 +307,83 @@ class EventQueue {
     return slot_keys_[SlotOf(e.key)] != e.key;
   }
 
+  /// Bottom-up pop: the hole left by the top walks down to a leaf along
+  /// the smaller children, then the last key sifts up from there. The last
+  /// key nearly always belongs near the bottom, so this saves the compare
+  /// against it at every level that a plain sift-down makes.
   void RemoveTop() {
     const Entry last = heap_.back();
     heap_.pop_back();
-    if (!heap_.empty()) SiftDown(0, last);
-  }
-
-  /// Restores the invariant that the top key is live.
-  void DropDeadTop() {
-    while (!heap_.empty() && Dead(heap_[0])) {
-      RemoveTop();
-      --dead_;
+    const size_t n = heap_.size();
+    if (n == 0) return;
+    size_t i = 0;
+    for (;;) {
+      const size_t first = i * kArity + 1;
+      if (first >= n) break;
+      size_t best = first;
+      const size_t end = first + kArity < n ? first + kArity : n;
+      for (size_t c = first + 1; c < end; ++c) {
+        if (Before(heap_[c], heap_[best])) best = c;
+      }
+      heap_[i] = heap_[best];
+      i = best;
     }
+    SiftUp(i, last);
   }
 
-  /// Drops every dead key and re-heapifies bottom-up (Floyd).
+  /// Restores the invariants that the top key is live and that the heap is
+  /// empty only when no live event is left.
+  void RestoreTop() {
+    while (!heap_.empty() && Dead(heap_[0])) RemoveTop();
+    if (heap_.empty() && !far_.empty()) Refill();
+  }
+
+  /// Moves the far events due within `kFarHorizon` of the earliest one into
+  /// the (empty) heap and drops the far list's dead keys.
+  void Refill() {
+    size_t n = 0;
+    SimTime earliest = kNever;
+    for (const Entry& e : far_) {
+      if (Dead(e)) continue;
+      far_[n++] = e;
+      if (e.time < earliest) earliest = e.time;
+    }
+    far_.resize(n);
+    if (n == 0) return;
+    near_limit_ = earliest > kNever - kFarHorizon ? kNever
+                                                   : earliest + kFarHorizon - 1;
+    size_t kept = 0;
+    for (const Entry& e : far_) {
+      if (e.time <= near_limit_) {
+        heap_.push_back(e);
+      } else {
+        far_[kept++] = e;
+      }
+    }
+    far_.resize(kept);
+    Heapify();
+  }
+
+  /// Drops every dead key from the heap and the far list, and re-heapifies
+  /// if the heap lost any.
   void Compact() {
     size_t n = 0;
     for (const Entry& e : heap_) {
       if (!Dead(e)) heap_[n++] = e;
     }
+    const bool shrunk = n < heap_.size();
     heap_.resize(n);
-    dead_ = 0;
+    if (shrunk) Heapify();
+    n = 0;
+    for (const Entry& e : far_) {
+      if (!Dead(e)) far_[n++] = e;
+    }
+    far_.resize(n);
+  }
+
+  /// Restores the heap order over all of `heap_`, bottom-up (Floyd).
+  void Heapify() {
+    const size_t n = heap_.size();
     if (n < 2) return;
     for (size_t i = (n - 2) / kArity + 1; i-- > 0;) SiftDown(i, heap_[i]);
   }
@@ -325,13 +417,15 @@ class EventQueue {
     heap_[i] = e;
   }
 
-  std::vector<Entry> heap_;
+  std::vector<Entry> heap_;  ///< keys due at or before near_limit_
+  std::vector<Entry> far_;   ///< unsorted keys due after near_limit_
+  SimTime near_limit_ = kFarHorizon - 1;
+  size_t live_ = 0;  ///< pending events: live keys in heap_ and far_
   std::vector<SimCallback> slots_;
   /// Parallel to slots_: the key of the pending event parked in the slot,
   /// 0 once it is popped or cancelled.
   std::vector<uint64_t> slot_keys_;
   std::vector<uint32_t> free_slots_;
-  size_t dead_ = 0;  ///< cancelled keys still in heap_
   bool track_meta_ = false;
   std::vector<MsgMeta> metas_;  ///< parallel to slots_ when track_meta_
 };

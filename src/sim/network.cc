@@ -104,11 +104,12 @@ void Network::InvokeHandler(Node* recv, NodeId from, uint32_t type,
 }
 
 void Network::Deliver(NodeId from, NodeId to, uint32_t type,
-                      std::vector<uint8_t> payload, uint32_t seq) {
+                      uint32_t payload, uint32_t seq) {
   Node* recv = node(to);
   // Entering node code: subsequent Schedule/Send key allocations belong to
   // the receiver's causal stream (see StreamKeyTable).
   env_->SetCurrentStream(static_cast<uint32_t>(to) + 1);
+  const size_t bytes = payloads_[payload].size();
   bool dropped = true;
   if (!recv->alive()) {
     ++stats_.messages_dropped_crashed;
@@ -132,8 +133,7 @@ void Network::Deliver(NodeId from, NodeId to, uint32_t type,
                       type, from, seq);
     }
     if (tap_) {
-      tap_(env_->Now(), from, to, type, payload.size(),
-           TapEvent::kDroppedAtDelivery);
+      tap_(env_->Now(), from, to, type, bytes, TapEvent::kDroppedAtDelivery);
     }
   } else {
     ++stats_.messages_delivered;
@@ -141,40 +141,48 @@ void Network::Deliver(NodeId from, NodeId to, uint32_t type,
       flight_->Record(env_->Now(), to, obs::FlightKind::kMsgDeliver,
                       obs::kDeliverOk, type, from, seq);
     }
-    if (tap_) {
-      tap_(env_->Now(), from, to, type, payload.size(), TapEvent::kDelivered);
-    }
-    BufferReader reader(payload);
+    if (tap_) tap_(env_->Now(), from, to, type, bytes, TapEvent::kDelivered);
+    // The handler may send, and a send may grow `payloads_`. Moving the
+    // outer vector moves each buffer's ownership, not its bytes, so the
+    // reader's view stays valid; the slot itself is freed only below.
+    BufferReader reader(payloads_[payload].data(), bytes);
     InvokeHandler(recv, from, type, reader, profiler_);
   }
-  pool_.Release(std::move(payload));
+  free_payloads_.push_back(payload);
 }
 
-void Network::DispatchDelivery(Node* sender, Node* receiver, uint32_t type,
-                               std::vector<uint8_t> payload, uint32_t seq,
+void Network::DispatchDelivery(NodeId from, NodeId to, uint32_t type,
+                               const uint8_t* data, size_t n, uint32_t seq,
                                Duration latency) {
-  const NodeId from = sender->id();
-  const NodeId to = receiver->id();
-  // The delivery closure (48 bytes: this + ids + type + the send's flight
-  // seq + the payload vector) fits SimCallback's inline buffer, and the
-  // payload returns to the pool whether the message is delivered or dropped
-  // in flight. Deliveries go through ScheduleMessage so an attached schedule
-  // oracle may reorder them; with no oracle it is a plain Schedule.
+  uint32_t payload;
+  if (!free_payloads_.empty()) {
+    payload = free_payloads_.back();
+    free_payloads_.pop_back();
+  } else {
+    payload = static_cast<uint32_t>(payloads_.size());
+    payloads_.emplace_back();
+  }
+  payloads_[payload].assign(data, data + n);
+  // The delivery closure (this + ids + type + the send's flight seq + the
+  // payload slot id, 32 bytes) is trivially copyable, so the event queue
+  // moves it with a memcpy. Whether the copy is delivered or dropped in
+  // flight, `Deliver` frees its slot. Deliveries go through ScheduleMessage
+  // so an attached schedule oracle may reorder them; with no oracle it is a
+  // plain Schedule.
   env_->ScheduleMessage(latency, from, to, type,
-                        [this, from, to, type, seq,
-                         payload = std::move(payload)]() mutable {
-                          Deliver(from, to, type, std::move(payload), seq);
+                        [this, from, to, type, seq, payload] {
+                          Deliver(from, to, type, payload, seq);
                         });
 }
 
-void Network::Send(NodeId from, NodeId to, uint32_t type,
-                   std::vector<uint8_t> payload) {
-  Node* sender = node(from);
+void Network::Send(Node* sender, NodeId to, uint32_t type, const uint8_t* data,
+                   size_t n) {
+  const NodeId from = sender->id();
   Node* receiver = node(to);
   if (!sender->alive()) return;  // a crashed node sends nothing
   Rng& send_rng = send_rngs_[static_cast<size_t>(from)];
   ++stats_.messages_sent;
-  stats_.bytes_sent += payload.size();
+  stats_.bytes_sent += n;
 
   bool dropped_at_send = false;
   if (partitioned_ && !CanCommunicate(from, to)) {
@@ -191,22 +199,17 @@ void Network::Send(NodeId from, NodeId to, uint32_t type,
     if (flight_ != nullptr) {
       flight_->Record(env_->Now(), from, obs::FlightKind::kMsgSend,
                       obs::kSendDroppedAtSend, type, to,
-                      static_cast<int64_t>(payload.size()));
+                      static_cast<int64_t>(n));
     }
-    if (tap_) {
-      tap_(env_->Now(), from, to, type, payload.size(),
-           TapEvent::kDroppedAtSend);
-    }
-    pool_.Release(std::move(payload));
+    if (tap_) tap_(env_->Now(), from, to, type, n, TapEvent::kDroppedAtSend);
     return;
   }
   uint32_t seq = 0;
   if (flight_ != nullptr) {
     seq = flight_->Record(env_->Now(), from, obs::FlightKind::kMsgSend,
-                          obs::kSendOk, type, to,
-                          static_cast<int64_t>(payload.size()));
+                          obs::kSendOk, type, to, static_cast<int64_t>(n));
   }
-  if (tap_) tap_(env_->Now(), from, to, type, payload.size(), TapEvent::kSent);
+  if (tap_) tap_(env_->Now(), from, to, type, n, TapEvent::kSent);
 
   if (duplicate_rate_ > 0 && send_rng.Bernoulli(duplicate_rate_)) {
     // Inject a copy with an independently sampled latency; it races the
@@ -217,17 +220,14 @@ void Network::Send(NodeId from, NodeId to, uint32_t type,
     if (flight_ != nullptr) {
       dup_seq = flight_->Record(env_->Now(), from, obs::FlightKind::kMsgSend,
                                 obs::kSendDuplicated, type, to,
-                                static_cast<int64_t>(payload.size()));
+                                static_cast<int64_t>(n));
     }
-    std::vector<uint8_t> copy = pool_.Acquire();
-    copy.assign(payload.begin(), payload.end());
     const Duration dup_latency = ScaledLatency(sender, receiver, send_rng);
-    DispatchDelivery(sender, receiver, type, std::move(copy), dup_seq,
-                     dup_latency);
+    DispatchDelivery(from, to, type, data, n, dup_seq, dup_latency);
   }
 
   const Duration latency = ScaledLatency(sender, receiver, send_rng);
-  DispatchDelivery(sender, receiver, type, std::move(payload), seq, latency);
+  DispatchDelivery(from, to, type, data, n, seq, latency);
 }
 
 void Network::Crash(NodeId id) {
@@ -307,15 +307,6 @@ uint64_t Network::ArmTimer(Node* n, Duration delay, uint64_t token) {
 
 void Network::DisarmTimer(Node* /*n*/, uint64_t timer_id) {
   env_->Cancel(timer_id);
-}
-
-void Network::Send(Node* from, NodeId to, uint32_t type, const uint8_t* data,
-                   size_t n) {
-  // Copy the encoded bytes into a pooled buffer rather than allocating a
-  // fresh vector per message; the network recycles it after delivery.
-  std::vector<uint8_t> buf = pool_.Acquire();
-  buf.assign(data, data + n);
-  Send(from->id(), to, type, std::move(buf));
 }
 
 }  // namespace samya::sim

@@ -7,8 +7,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/buffer_pool.h"
-#include "common/flat_set64.h"
+#include "common/flat_map64.h"
 #include "obs/flight_recorder.h"
 #include "rt/node.h"
 #include "sim/environment.h"
@@ -74,16 +73,11 @@ class Network : public rt::Runtime {
   /// Registers a node; the node's id must equal its registration order.
   void Register(Node* node);
 
-  /// rt::Runtime transport entry (Node::Send): copies the encoded bytes
-  /// into a pooled buffer and forwards to the id-based overload below.
+  /// rt::Runtime transport entry (Node::Send): sends an encoded message.
+  /// Each scheduled copy holds the bytes in a payload slot (see
+  /// `payloads_`); a message dropped at send is never copied.
   void Send(Node* from, NodeId to, uint32_t type, const uint8_t* data,
             size_t n) override;
-
-  /// Sends an encoded message. The payload vector is recycled through
-  /// `buffer_pool()` after delivery (or drop), so callers on the hot path
-  /// should acquire it from the pool.
-  void Send(NodeId from, NodeId to, uint32_t type,
-            std::vector<uint8_t> payload);
 
   /// Crashes a node: invalidates its timers, runs HandleCrash, and drops all
   /// of its future deliveries until recovery.
@@ -143,8 +137,6 @@ class Network : public rt::Runtime {
 
   const NetworkStats& stats() const { return stats_; }
 
-  BufferPool* buffer_pool() { return &pool_; }
-
   /// Installs a message tap (analysis/debugging; pass nullptr to remove).
   void set_message_tap(MessageTap tap) { tap_ = std::move(tap); }
 
@@ -184,15 +176,18 @@ class Network : public rt::Runtime {
   /// global and per-link delay factors.
   Duration ScaledLatency(Node* sender, Node* receiver, Rng& rng);
 
-  /// Schedules a delivery closure on the event loop. `seq` is the flight recorder's stamp on the send event (0 when the
-  /// recorder is off); it rides the delivery closure into `Deliver`.
-  void DispatchDelivery(Node* sender, Node* receiver, uint32_t type,
-                        std::vector<uint8_t> payload, uint32_t seq,
+  /// Copies `data` into a payload slot and schedules its delivery closure
+  /// on the event loop. `seq` is the flight recorder's stamp on the send
+  /// event (0 when the recorder is off); it rides the closure into
+  /// `Deliver`.
+  void DispatchDelivery(NodeId from, NodeId to, uint32_t type,
+                        const uint8_t* data, size_t n, uint32_t seq,
                         Duration latency);
 
-  /// Delivery-time half of `Send`: runs when a scheduled copy arrives.
-  void Deliver(NodeId from, NodeId to, uint32_t type,
-               std::vector<uint8_t> payload, uint32_t seq);
+  /// Delivery-time half of `Send`: runs when a scheduled copy arrives, then
+  /// frees its payload slot.
+  void Deliver(NodeId from, NodeId to, uint32_t type, uint32_t payload,
+               uint32_t seq);
 
   /// Runs the receiver's handler, timed when the profiler is attached.
   void InvokeHandler(Node* recv, NodeId from, uint32_t type,
@@ -213,7 +208,12 @@ class Network : public rt::Runtime {
   /// depends only on the sender's own send sequence.
   std::vector<Rng> send_rngs_;
   NetworkStats stats_;
-  BufferPool pool_;
+  /// Payload slots: one byte buffer per scheduled copy, indexed by the id
+  /// its delivery closure holds, and recycled through `free_payloads_` with
+  /// its capacity kept. Once the slots have grown to the most copies ever
+  /// in flight, a send allocates nothing.
+  std::vector<std::vector<uint8_t>> payloads_;
+  std::vector<uint32_t> free_payloads_;
   obs::EventLoopProfiler* profiler_ = nullptr;
   obs::FlightRecorder* flight_ = nullptr;
   MessageTap tap_;

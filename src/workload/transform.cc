@@ -27,16 +27,6 @@ DemandTrace PhaseShift(const DemandTrace& trace, Duration shift) {
   return DemandTrace(trace.interval(), std::move(rotated));
 }
 
-DemandTrace Truncate(const DemandTrace& trace, Duration duration) {
-  SAMYA_CHECK_GE(duration, 0);
-  const size_t keep = std::min(
-      trace.size(), static_cast<size_t>(duration / trace.interval()));
-  std::vector<DemandInterval> data(trace.data().begin(),
-                                   trace.data().begin() +
-                                       static_cast<long>(keep));
-  return DemandTrace(trace.interval(), std::move(data));
-}
-
 DemandTrace ScaleCounts(const DemandTrace& trace, double factor,
                         uint64_t seed) {
   SAMYA_CHECK_GE(factor, 0.0);

@@ -18,9 +18,6 @@ DemandTrace CompressTime(const DemandTrace& trace, int64_t factor);
 /// with off-peak in Asia). Positive shift moves the pattern later.
 DemandTrace PhaseShift(const DemandTrace& trace, Duration shift);
 
-/// Truncates a trace to its first `duration` worth of intervals.
-DemandTrace Truncate(const DemandTrace& trace, Duration duration);
-
 /// Scales both creations and deletions by `factor` (used by the §5.9
 /// arrival-rate sweep to thin the load without changing the shape).
 DemandTrace ScaleCounts(const DemandTrace& trace, double factor,

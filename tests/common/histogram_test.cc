@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "common/json.h"
@@ -154,6 +155,37 @@ TEST(HistogramTest, ToJsonEmpty) {
   const JsonValue* cdf = j.Find("cdf");
   ASSERT_NE(cdf, nullptr);
   EXPECT_TRUE(cdf->as_array().empty());
+}
+
+TEST(HistogramTest, BucketForMatchesPlainLowerBound) {
+  // BucketFor searches only the buckets of the value's bit width; it must
+  // agree with a lower_bound over all bounds at every bound, bound +- 1,
+  // 0, a negative value and INT64_MAX.
+  std::vector<int64_t> bounds;
+  for (size_t b = 0;; ++b) {
+    bounds.push_back(Histogram::BucketUpper(b));
+    if (bounds.back() == std::numeric_limits<int64_t>::max()) break;
+  }
+  ASSERT_GT(bounds.size(), 900u);
+  auto plain = [&](int64_t v) {
+    return static_cast<size_t>(
+        std::lower_bound(bounds.begin(), bounds.end(), v) - bounds.begin());
+  };
+  std::vector<int64_t> values = {0, -1, -12345,
+                                 std::numeric_limits<int64_t>::min(),
+                                 std::numeric_limits<int64_t>::max()};
+  for (int64_t b : bounds) {
+    values.push_back(b);
+    values.push_back(b - 1);
+    if (b < std::numeric_limits<int64_t>::max()) values.push_back(b + 1);
+  }
+  for (int w = 0; w < 63; ++w) {  // powers of two and their neighbours
+    const int64_t p = int64_t{1} << w;
+    values.insert(values.end(), {p - 1, p, p + 1});
+  }
+  for (int64_t v : values) {
+    ASSERT_EQ(Histogram::BucketFor(v), plain(v)) << v;
+  }
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <tuple>
 
 #include "core/site.h"
@@ -303,6 +304,73 @@ TEST(AppManagerTest, RelaysMaximumLengthRequestByteForByte) {
   client->SendRaw(am->id(), bytes);
   cluster.env().RunFor(Seconds(1));
   EXPECT_EQ(site->received, bytes);
+}
+
+TEST(AppManagerTest, DuplicateAndStaleResponsesFindNoEntry) {
+  // A site answers every relayed request twice and also answers for an id
+  // nobody sent; a client sends 200 requests with distinct ids and one with
+  // id 0, which no routing entry can key. Each real request must reach the
+  // client exactly once, every extra answer must die at the manager, and
+  // id 0 must never be relayed.
+  class Site2x : public sim::Node {
+   public:
+    using Node::Node;
+    void HandleMessage(sim::NodeId from, uint32_t type,
+                       BufferReader& r) override {
+      if (type != kMsgTokenRequest) return;
+      auto req = TokenRequest::DecodeFrom(r);
+      ASSERT_TRUE(req.ok());
+      ++requests;
+      const uint64_t id0 = req->request_id;
+      for (uint64_t id : {id0, id0, id0 + (uint64_t{1} << 39)}) {
+        TokenResponse resp;
+        resp.request_id = id;
+        resp.status = TokenStatus::kCommitted;
+        BufferWriter w;
+        resp.EncodeTo(w);
+        Send(from, kMsgTokenResponse, w);
+      }
+    }
+    int requests = 0;
+  };
+  class Counter : public sim::Node {
+   public:
+    using Node::Node;
+    void HandleMessage(sim::NodeId, uint32_t type, BufferReader& r) override {
+      if (type != kMsgTokenResponse) return;
+      auto resp = TokenResponse::DecodeFrom(r);
+      ASSERT_TRUE(resp.ok());
+      ++answers[resp->request_id];
+    }
+    void SendRequest(sim::NodeId to, uint64_t id) {
+      TokenRequest req;
+      req.request_id = id;
+      BufferWriter w;
+      req.EncodeTo(w);
+      Send(to, kMsgTokenRequest, w);
+    }
+    std::map<uint64_t, int> answers;
+  };
+  sim::Cluster cluster(12);
+  auto* site = cluster.AddNode<Site2x>(sim::Region::kUsWest1);
+  auto* client = cluster.AddNode<Counter>(sim::Region::kUsWest1);
+  AppManagerOptions aopts;
+  aopts.sites = {site->id()};
+  auto* am = cluster.AddNode<AppManager>(sim::Region::kUsWest1, aopts);
+  cluster.StartAll();
+  client->SendRequest(am->id(), 0);
+  for (uint64_t id = 1; id <= 200; ++id) {
+    cluster.env().Schedule(Micros(50 * static_cast<int64_t>(id)),
+                           [=] { client->SendRequest(am->id(), id * 977); });
+  }
+  cluster.env().RunFor(Seconds(1));
+  EXPECT_EQ(site->requests, 200);
+  EXPECT_EQ(am->relayed(), 200u);
+  ASSERT_EQ(client->answers.size(), 200u);
+  for (const auto& [id, n] : client->answers) {
+    EXPECT_EQ(id % 977, 0u) << id;
+    EXPECT_EQ(n, 1) << id;
+  }
 }
 
 }  // namespace

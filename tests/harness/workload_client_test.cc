@@ -212,5 +212,59 @@ TEST(WorkloadClientTest, TimeoutFailsOverToNextServer) {
   EXPECT_EQ(live->tokens_, 99);
 }
 
+constexpr uint64_t kStaleZeroToken = ~0ull;  // answer for request id 0
+
+TEST(WorkloadClientTest, DuplicateAndStaleResponsesFindNoEntry) {
+  // A server that answers every request twice, the copy 5 ms later, and
+  // also answers for ids the client never issued (0 and far-off ones). The
+  // outstanding table must count each request exactly once, drop every
+  // extra answer, and end empty. Replies arrive out of order (random
+  // server-side delays), so entries are erased across a growing table.
+  class EchoTwice : public sim::Node {
+   public:
+    using Node::Node;
+    void HandleMessage(sim::NodeId from, uint32_t type,
+                       BufferReader& r) override {
+      ASSERT_EQ(type, kMsgTokenRequest);
+      auto req = TokenRequest::DecodeFrom(r);
+      ASSERT_TRUE(req.ok());
+      client_ = from;
+      const uint64_t id = req->request_id;
+      const Duration delay = Millis(1 + static_cast<int64_t>(id % 37));
+      SetTimer(delay, id);
+      SetTimer(delay + Millis(5), id);
+      SetTimer(delay, id + (1ull << 39));  // never issued
+      SetTimer(delay, kStaleZeroToken);
+    }
+    void HandleTimer(uint64_t token) override {
+      TokenResponse resp;
+      resp.request_id = token == kStaleZeroToken ? 0 : token;
+      resp.status = TokenStatus::kCommitted;
+      BufferWriter w;
+      resp.EncodeTo(w);
+      Send(client_, kMsgTokenResponse, w);
+    }
+    sim::NodeId client_ = sim::kInvalidNode;
+  };
+  sim::Cluster cluster(29);
+  auto* server = cluster.AddNode<EchoTwice>(sim::Region::kUsWest1);
+  WorkloadClientOptions copts;
+  copts.servers = {server->id()};
+  copts.request_timeout = Seconds(10);
+  std::vector<Request> script;
+  for (int i = 0; i < 300; ++i) {
+    script.push_back({Micros(100 * i), Request::Type::kAcquire, 1});
+  }
+  auto* client =
+      cluster.AddNode<WorkloadClient>(sim::Region::kUsWest1, copts, script);
+  cluster.StartAll();
+  cluster.env().RunFor(Seconds(1));
+  EXPECT_EQ(client->stats().sent, 300u);
+  EXPECT_EQ(client->stats().committed_acquires, 300u);
+  EXPECT_EQ(client->stats().latency.count(), 300u);
+  EXPECT_EQ(client->stats().dropped, 0u);
+  EXPECT_EQ(client->outstanding(), 0u);
+}
+
 }  // namespace
 }  // namespace samya::harness

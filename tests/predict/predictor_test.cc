@@ -153,8 +153,6 @@ TEST(MetricsTest, MaeMatchesHandComputation) {
 }
 
 TEST(FactoryTest, MakesNamedPredictors) {
-  EXPECT_EQ(MakeRandomWalk()->name(), "random_walk");
-  EXPECT_EQ(MakeEwma()->name(), "ewma");
   EXPECT_EQ(MakeSeasonalNaive(10)->name(), "seasonal_naive");
 }
 

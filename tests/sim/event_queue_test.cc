@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <set>
 #include <unordered_map>
 #include <utility>
@@ -381,6 +382,168 @@ TEST(EventQueueTest, CancelMatchesOrderedSetReference) {
   EXPECT_TRUE(q.empty());
   EXPECT_GT(crossings, 0);
   EXPECT_GT(max_dead_seen, 10u);
+}
+
+// Differential test of the far list against a sorted reference model. Due
+// times mix zero delays, coarse multiples of 100 ms (many equal times),
+// times straddling `kFarHorizon`, and the 1.5 s and 3 s timeouts of the
+// request path, so events land on both sides of the near limit and
+// migrate. Cancels hit events before and after their migration, stale
+// handles must stay no-ops, and every pop, `NextTime`, `NextSeq` and
+// `size()` must match the reference. With `meta` the queue tracks
+// message metadata, and nothing may go far.
+void RunFarListDifferential(bool meta, uint64_t seed) {
+  Rng rng(seed);
+  EventQueue q;
+  if (meta) q.EnableMetaTracking();
+  std::set<std::pair<SimTime, uint64_t>> ref;
+  std::unordered_map<uint64_t, std::pair<SimTime, uint64_t>> pending;
+  std::vector<uint64_t> pending_seqs;
+  std::vector<uint64_t> stale;
+  uint64_t seq = 0;
+  uint64_t fired = ~0ull;
+  SimTime now = 0;
+  size_t max_far = 0;
+  int refills = 0;  // pops after which the far list shrank
+
+  const Duration horizon = EventQueue::kFarHorizon;
+  auto push = [&] {
+    Duration d = 0;
+    switch (rng.UniformInt(0, 5)) {
+      case 0: d = 0; break;
+      case 1: d = rng.UniformInt(0, 4) * Millis(100); break;
+      case 2: d = horizon + rng.UniformInt(-3, 3); break;
+      case 3: d = rng.UniformInt(0, 1) == 0 ? Millis(1500) : Seconds(3); break;
+      case 4: d = rng.UniformInt(0, 250) * Millis(1); break;
+      default: d = rng.UniformInt(0, 2 * horizon); break;
+    }
+    const SimTime t = now + d;
+    const uint64_t s = seq++;
+    const uint64_t h = q.Push(t, s, [&fired, s] { fired = s; });
+    ref.emplace(t, s);
+    pending[s] = {t, h};
+    pending_seqs.push_back(s);
+  };
+  auto forget = [&](uint64_t s) {
+    stale.push_back(pending.at(s).second);
+    ref.erase({pending.at(s).first, s});
+    pending.erase(s);
+    for (size_t i = 0; i < pending_seqs.size(); ++i) {
+      if (pending_seqs[i] == s) {
+        pending_seqs[i] = pending_seqs.back();
+        pending_seqs.pop_back();
+        break;
+      }
+    }
+  };
+  auto pick = [&] {
+    return pending_seqs[static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(pending_seqs.size()) - 1))];
+  };
+  auto pop = [&] {
+    const auto expect = *ref.begin();
+    ASSERT_EQ(q.NextTime(), expect.first);
+    ASSERT_EQ(q.NextSeq(), expect.second);
+    const size_t far_before = q.far_keys();
+    const EventQueue::Popped p = q.PopEntry();
+    ASSERT_EQ(p.time, expect.first);
+    ASSERT_EQ(p.seq, expect.second);
+    q.InvokeAndRecycle(p.slot);
+    ASSERT_EQ(fired, expect.second);
+    if (q.far_keys() < far_before) ++refills;
+    now = p.time;
+    forget(p.seq);
+  };
+
+  for (int step = 0; step < 60000; ++step) {
+    const int op = ref.empty() ? 0 : static_cast<int>(rng.UniformInt(0, 99));
+    if (op < 48) {
+      push();
+    } else if (op < 72) {
+      pop();
+    } else if (op < 88) {
+      const uint64_t s = pick();
+      ASSERT_TRUE(q.Cancel(pending.at(s).second));
+      forget(s);
+    } else if (op < 94) {
+      if (!stale.empty()) {
+        ASSERT_FALSE(q.Cancel(stale[static_cast<size_t>(rng.UniformInt(
+            0, static_cast<int64_t>(stale.size()) - 1))]));
+      }
+    } else {  // cancel the reference's latest event, likely still far
+      const uint64_t s = std::prev(ref.end())->second;
+      const uint64_t h = pending.at(s).second;
+      ASSERT_TRUE(q.Cancel(h));
+      forget(s);
+      ASSERT_FALSE(q.Cancel(h));
+    }
+    ASSERT_EQ(q.size(), ref.size()) << "step " << step;
+    ASSERT_EQ(q.empty(), ref.empty());
+    max_far = std::max(max_far, q.far_keys());
+    if (meta) {
+      ASSERT_EQ(q.far_keys(), 0u);
+    }
+  }
+  while (!ref.empty()) pop();
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.far_keys(), 0u);
+  if (!meta) {
+    EXPECT_GT(max_far, 100u);
+    EXPECT_GT(refills, 10);
+  }
+}
+
+TEST(EventQueueTest, FarListMatchesSortedReference) {
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    RunFarListDifferential(/*meta=*/false, seed);
+  }
+}
+
+TEST(EventQueueTest, MetaTrackingKeepsEverythingInTheHeap) {
+  RunFarListDifferential(/*meta=*/true, 4);
+}
+
+TEST(EventQueueTest, RefillTakesEventsDueExactlyAtTheNearLimit) {
+  // A refill's near limit is the earliest far time plus kFarHorizon - 1.
+  // A far event due exactly then must move into the heap: an event pushed
+  // later for the same instant goes to the heap and must still pop after
+  // it (its seq is higher).
+  const SimTime t = Seconds(2);
+  const SimTime limit = t + EventQueue::kFarHorizon - 1;
+  EventQueue q;
+  q.Push(10, 0, [] {});
+  q.Push(t, 1, [] {});
+  q.Push(limit, 2, [] {});
+  q.Push(limit + 1, 3, [] {});
+  EXPECT_EQ(q.far_keys(), 3u);
+  EXPECT_EQ(q.Pop().seq, 0u);  // the heap runs dry: refill
+  EXPECT_EQ(q.far_keys(), 1u);  // only the event after the limit stays
+  q.Push(limit, 4, [] {});
+  EXPECT_EQ(q.Pop().seq, 1u);
+  EXPECT_EQ(q.Pop().seq, 2u);
+  EXPECT_EQ(q.Pop().seq, 4u);
+  EXPECT_EQ(q.Pop().seq, 3u);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueueTest, EnablingMetaTrackingDrainsTheFarList) {
+  EventQueue q;
+  q.Push(Seconds(1), 0, [] {});  // far of an empty heap: migrates at once
+  q.Push(10, 1, [] {});
+  const uint64_t dead = q.Push(Seconds(5), 2, [] {});
+  q.Push(Seconds(4), 3, [] {});
+  ASSERT_GT(q.far_keys(), 0u);
+  ASSERT_TRUE(q.Cancel(dead));
+  q.EnableMetaTracking();
+  EXPECT_EQ(q.far_keys(), 0u);
+  EXPECT_EQ(q.size(), 3u);
+  EXPECT_EQ(q.Pop().seq, 1u);
+  EXPECT_EQ(q.Pop().seq, 0u);
+  EXPECT_EQ(q.Pop().seq, 3u);
+  EXPECT_TRUE(q.empty());
+  q.Push(Seconds(60), 4, [] {});
+  EXPECT_EQ(q.far_keys(), 0u);
 }
 
 }  // namespace

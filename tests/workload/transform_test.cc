@@ -67,15 +67,6 @@ TEST(PhaseShiftTest, PreservesPeriodicityAcrossRegions) {
   }
 }
 
-TEST(TruncateTest, KeepsPrefix) {
-  auto trace = TinyTrace();
-  auto t = Truncate(trace, Minutes(12));  // 2 whole intervals fit
-  EXPECT_EQ(t.size(), 2u);
-  EXPECT_EQ(t.at(1).creations, 20);
-  EXPECT_EQ(Truncate(trace, 0).size(), 0u);
-  EXPECT_EQ(Truncate(trace, kHour).size(), trace.size());
-}
-
 TEST(ScaleCountsTest, ThinningIsApproximatelyProportional) {
   AzureTraceOptions o;
   o.days = 2;
